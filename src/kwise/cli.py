@@ -37,14 +37,7 @@ from .constructions import (
     series_of_cubes,
     series_of_cubes_size,
 )
-from .core import (
-    KwiseMode,
-    SetFamily,
-    addable_sets,
-    is_k_wise_intersecting,
-    is_maximal_k_wise,
-    maximal_closure,
-)
+from .core import KwiseMode, ReachState, SetFamily, maximal_closure
 from .disjointness import build_bipartite, build_graph, count_edges_touching, stability_stats
 from .generator import coverage
 from .search import SearchConfig, audit_claim_counts, search_min
@@ -84,13 +77,15 @@ def _family_payload(family: SetFamily, sidecar_dir: Path) -> Any:
 def _cmd_check(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     mode = KwiseMode.parse(args.mode)
     fam = _parse_family(args.n, args.family)
-    kwise = is_k_wise_intersecting(fam, args.k, mode)
+    state = ReachState.of(fam, args.k, mode)
+    kwise = state.intersecting()
     maximal = False
     witness: Optional[int] = None
     if kwise:
-        maximal = is_maximal_k_wise(fam, args.k, mode)
+        addable = state.addable(fam.bitmap)
+        maximal = addable == 0
         if not maximal:
-            witness = next(iter_bits(addable_sets(fam, args.k, mode).bitmap))
+            witness = (addable & -addable).bit_length() - 1
     params = {"n": args.n, "k": args.k, "mode": mode.value, "family": args.family}
     result = {
         "size": len(fam),

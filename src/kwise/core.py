@@ -218,27 +218,175 @@ def _check_element(n: int, i: int) -> None:
         raise ValueError(f"element {i!r} out of range 1..{n}")
 
 
-def _reach_layers(family: SetFamily, depth: int) -> List[int]:
-    """Bitmaps R_1..R_depth of masks expressible as the intersection of
-    exactly j pairwise distinct members.
+# A layer whose antichain grows wider than _SPARSE_LIMITS[n] turns into a
+# dense bitmap.  A sparse fold step costs about (source width) x (layer
+# width) Python-level mask operations, a dense one about n passes over the
+# 2^n-bit bitmap, so the crossover width grows like 2^(n/2).  Below the
+# floor either way takes well under a millisecond per check.  Chosen from
+# timings with the limit pinned, on linked cubes and on random families
+# of large subsets at n = 8..22 (BENCH_2.json).
+_SPARSE_FLOOR = 16
+_SPARSE_LIMITS = tuple(
+    max(_SPARSE_FLOOR, (1 << (n // 2)) >> 3) for n in range(MAX_FAMILY_GROUND + 1)
+)
 
-    Members are folded in one at a time; a new member g contributes
-    {t & g : t in R_{j-1}} to R_j, where R_{j-1} was built from earlier
-    members only, so every witness collection is automatically distinct.
+
+def _bitmap_of(masks: Iterable[int], n: int) -> int:
+    """Family bitmap of the given masks, built in one pass over its bytes."""
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _merge_minimal(layer: Tuple[int, ...], masks: Iterable[int]) -> Tuple[int, ...]:
+    """Minimal elements of an antichain together with more masks.
+
+    Returns the input tuple itself when no mask is new and minimal.
     """
-    layers = [0] * (depth + 1)  # layers[j] = R_j, layers[0] unused
-    if depth < 1:
+    out = layer
+    for x in masks:
+        if any(a & x == a for a in out):
+            continue
+        out = tuple([a for a in out if a & x != x] + [x])
+    return out
+
+
+def _fold_layers(layers: Tuple, size: int, g: int, n: int) -> Tuple:
+    """Layers after folding member g into a family of the given size.
+
+    Unchanged layers are returned as the same objects.
+    """
+    k = len(layers)
+    first = layers[0]
+    if size >= k and (
+        first & cube_bits(g) if type(first) is int else any(a & g == a for a in first)
+    ):
         return layers
-    n = family.n
-    seen = 0  # members folded in so far, capped at depth
-    for g in family.members():
-        for j in range(min(depth, seen + 1), 1, -1):
-            if layers[j - 1]:
-                layers[j] |= project_intersect_bits(layers[j - 1], g, n)
-        layers[1] |= 1 << g
-        if seen < depth:
-            seen += 1
-    return layers
+    new = list(layers)
+    top = min(k, size + 1)
+    for j in range(top - 1, 0, -1):
+        src, dst = layers[j - 1], layers[j]
+        if type(dst) is tuple:
+            new[j] = _merge_minimal(dst, {t & g for t in src})
+            continue
+        if type(src) is int:
+            grown = dst | project_intersect_bits(src, g, n)
+        else:
+            grown = dst | _bitmap_of({t & g for t in src}, n)
+        if grown != dst:
+            new[j] = grown
+    new[0] = first | (1 << g) if type(first) is int else _merge_minimal(first, (g,))
+    limit = _SPARSE_LIMITS[n]
+    for j in range(top):
+        if type(new[j]) is tuple and len(new[j]) > limit:
+            # dense layers form a suffix: a dense layer only feeds dense ones
+            for i in range(j, k):
+                if type(new[i]) is tuple:
+                    new[i] = _bitmap_of(new[i], n)
+            break
+    return tuple(new)
+
+
+class ReachState:
+    """Reach layers R_1..R_k of a family, built one member at a time.
+
+    R_j holds the masks that are the intersection of exactly j pairwise
+    distinct members.  Folding in a new member g adds {t & g : t in R_(j-1)}
+    to R_j, where R_(j-1) was built from earlier members only, so every
+    witness collection is automatically distinct.
+
+    Both questions asked of a layer depend only on its up-closure: "is the
+    empty set reachable" and "which masks miss some reachable t".  And if
+    t' contains t then t' & g contains t & g, so a layer's non-minimal
+    elements never matter for later layers either.  Each layer therefore
+    keeps only its minimal elements, as a tuple, until the antichain grows
+    wider than _SPARSE_LIMITS[n]; from then on it is a dense 2^n-bit bitmap
+    of (a superset of the minimal elements of) R_j.  Dense layers form a
+    suffix, because a dense layer only feeds dense layers.  Once the family
+    has at least k members, a new member containing an earlier one changes
+    no up-closure (any collection through it is dominated by the same
+    collection through the earlier member, or by one more distinct member),
+    so its fold only counts it.
+
+    States are immutable: fold returns a new state and shares unchanged
+    layers with the old one, so branching on a state costs nothing.
+    """
+
+    __slots__ = ("n", "k", "mode", "size", "layers")
+
+    def __init__(self, n: int, k: int, mode: KwiseMode = KwiseMode.DISTINCT):
+        """The state of the empty family."""
+        _check_k(k)
+        self.n = n
+        self.k = k
+        self.mode = mode
+        self.size = 0
+        self.layers: Tuple = ((),) * k  # layers[j - 1] is R_j
+
+    def _after(self, size: int, layers: Tuple) -> "ReachState":
+        state = object.__new__(ReachState)
+        state.n, state.k, state.mode = self.n, self.k, self.mode
+        state.size, state.layers = size, layers
+        return state
+
+    @classmethod
+    def of(cls, family: SetFamily, k: int, mode: KwiseMode = KwiseMode.DISTINCT) -> "ReachState":
+        """The state of a whole family, its members folded in ascending order."""
+        empty = cls(family.n, k, mode)
+        layers, size = empty.layers, 0
+        for g in family.members():
+            layers = _fold_layers(layers, size, g, family.n)
+            size += 1
+        return empty._after(size, layers)
+
+    def fold(self, g: int) -> "ReachState":
+        """The state after adding member g, which must not be a member yet."""
+        return self._after(self.size + 1, _fold_layers(self.layers, self.size, g, self.n))
+
+    def hits_empty(self) -> bool:
+        """Whether some 2..k distinct members have an empty intersection."""
+        return any(
+            layer & 1 if type(layer) is int else 0 in layer
+            for layer in self.layers[1:]
+        )
+
+    def intersecting(self) -> bool:
+        """The k-wise verdict for the folded family, in the state's mode."""
+        if self.mode is KwiseMode.DISTINCT and self.size < self.k:
+            return True
+        return not self.hits_empty()
+
+    def relevant(self) -> Tuple:
+        """The layers whose reachable masks block a new member: R_(k-1) in
+        DISTINCT mode, R_1..R_(k-1) with repetition."""
+        if self.mode is KwiseMode.DISTINCT:
+            return self.layers[self.k - 2 : self.k - 1]
+        return self.layers[: self.k - 1]
+
+    def blocked(self) -> int:
+        """Bitmap of masks whose addition would break the k-wise property.
+
+        A candidate m is blocked exactly when some relevant reachable t
+        avoids it, that is when m is a submask of t's complement.
+        """
+        n = self.n
+        top = full_mask(n)
+        sparse = set()
+        dense = 0
+        for layer in self.relevant():
+            if type(layer) is int:
+                dense |= layer
+            else:
+                sparse.update(top ^ t for t in layer)
+        complements = _bitmap_of(sparse, n) if sparse else 0
+        if dense:
+            complements |= reverse_index_bits(dense, n)
+        return down_close_bits(complements, n) if complements else 0
+
+    def addable(self, bitmap: int) -> int:
+        """Non-members of the given family bitmap that are not blocked."""
+        return ~self.blocked() & ~bitmap & family_full_bitmap(self.n)
 
 
 def is_k_wise_intersecting(
@@ -251,40 +399,16 @@ def is_k_wise_intersecting(
     checks every collection size j with 2 <= j <= min(k, size).
     """
     _check_k(k)
-    size = family.size
-    if mode is KwiseMode.DISTINCT:
-        if size < k:
-            return True
-        layers = _reach_layers(family, k)
-        # empty intersections at depth j < k extend to depth k when size >= k
-        return not any(layers[j] & 1 for j in range(2, k + 1))
-    layers = _reach_layers(family, min(k, size))
-    return not any(layers[j] & 1 for j in range(2, min(k, size) + 1))
+    if mode is KwiseMode.DISTINCT and family.size < k:
+        return True  # vacuous, no fold needed
+    return ReachState.of(family, k, mode).intersecting()
 
 
-def _blocked_bitmap(family: SetFamily, k: int, mode: KwiseMode) -> int:
-    """Bitmap of masks whose addition would break the k-wise property.
-
-    A candidate m is blocked exactly when some reachable intersection of
-    j distinct members (j = k-1 in DISTINCT mode, any j <= k-1 otherwise)
-    avoids m entirely.
-    """
-    n = family.n
-    if mode is KwiseMode.DISTINCT:
-        if family.size < k - 1:
-            return 0
-        relevant = _reach_layers(family, k - 1)[k - 1]
-    else:
-        depth = min(k - 1, family.size)
-        layers = _reach_layers(family, depth)
-        relevant = 0
-        for j in range(1, depth + 1):
-            relevant |= layers[j]
-    if relevant == 0:
-        return 0
-    # m blocked iff some reachable t is a submask of m's complement
-    closed = up_close_bits(relevant, n)
-    return reverse_index_bits(closed, n)
+def _intersecting_state(family: SetFamily, k: int, mode: KwiseMode) -> ReachState:
+    state = ReachState.of(family, k, mode)
+    if not state.intersecting():
+        raise ValueError("family is not k-wise intersecting in the given mode")
+    return state
 
 
 def addable_sets(
@@ -294,12 +418,8 @@ def addable_sets(
 
     The input family must itself be k-wise intersecting.
     """
-    _check_k(k)
-    if not is_k_wise_intersecting(family, k, mode):
-        raise ValueError("family is not k-wise intersecting in the given mode")
-    blocked = _blocked_bitmap(family, k, mode)
-    addable = ~blocked & ~family.bitmap & family_full_bitmap(family.n)
-    return SetFamily(family.n, addable)
+    state = _intersecting_state(family, k, mode)
+    return SetFamily(family.n, state.addable(family.bitmap))
 
 
 def is_maximal_k_wise(
@@ -317,42 +437,20 @@ def maximal_closure(
     Candidates are scanned in ascending mask order and the scan repeats
     until a pass adds nothing.  Blocked candidates stay blocked as the
     family grows, so adding the lowest addable mask each round reproduces
-    the ascending-scan fixpoint exactly.
+    the ascending-scan fixpoint exactly.  The addable set is recomputed only
+    when an added member changes the layers that block candidates;
+    otherwise it just loses the added mask.
     """
-    _check_k(k)
-    if not is_k_wise_intersecting(family, k, mode):
-        raise ValueError("family is not k-wise intersecting in the given mode")
-    n = family.n
-    depth = k - 1
-    full = family_full_bitmap(n)
-    layers = [0] * (depth + 1)
-    seen = 0
-    bm = 0
-
-    def fold(g: int) -> None:
-        nonlocal bm, seen
-        for j in range(min(depth, seen + 1), 1, -1):
-            if layers[j - 1]:
-                layers[j] |= project_intersect_bits(layers[j - 1], g, n)
-        layers[1] |= 1 << g
+    state = _intersecting_state(family, k, mode)
+    bm = family.bitmap
+    addable = state.addable(bm)
+    while addable:
+        g = (addable & -addable).bit_length() - 1
         bm |= 1 << g
-        if seen < depth:
-            seen += 1
-
-    for g in family.members():
-        fold(g)
-    while True:
-        if mode is KwiseMode.DISTINCT:
-            relevant = layers[depth]
+        grown = state.fold(g)
+        if grown.relevant() == state.relevant():
+            addable ^= 1 << g
         else:
-            relevant = 0
-            for j in range(1, depth + 1):
-                relevant |= layers[j]
-        if relevant:
-            blocked = reverse_index_bits(up_close_bits(relevant, n), n)
-        else:
-            blocked = 0
-        addable = ~blocked & ~bm & full
-        if addable == 0:
-            return SetFamily(n, bm)
-        fold((addable & -addable).bit_length() - 1)
+            addable = grown.addable(bm)
+        state = grown
+    return SetFamily(family.n, bm)

@@ -30,12 +30,12 @@ from .bitops import (
     full_mask,
     iter_bits,
     mask_complement,
-    project_intersect_bits,
     supercube_bits,
 )
 from .constructions import balanced_block, linked_cubes, pair_of_cubes
 from .core import (
     KwiseMode,
+    ReachState,
     SetFamily,
     complement_family,
     is_k_wise_intersecting,
@@ -229,7 +229,7 @@ class _BranchAndBound:
 
     def run(self) -> bool:
         try:
-            self._branch(0, 0, 0, 0, [0] * (self.k + 1), 0)
+            self._branch(0, 0, 0, ReachState(self.n, self.k, self.mode))
         except _BudgetExceeded:
             return False
         return True
@@ -242,49 +242,31 @@ class _BranchAndBound:
         # ties matter only when the incumbent size is itself reachable here
         return (not self.enumerate_all) or self.best < self.k
 
-    def _branch(
-        self, d: int, in_bm: int, forced_bm: int, size: int, layers: List[int], seen: int
-    ) -> None:
+    def _branch(self, d: int, in_bm: int, forced_bm: int, state: ReachState) -> None:
         self.nodes += 1
         if self.nodes & 255 == 0 and time.monotonic() > self.deadline:
             raise _BudgetExceeded
-        if self._too_big(size):
+        if self._too_big(state.size):
             return
         if self.symmetry and d in self.checkpoints:
             if not self._region_minimal(in_bm, self.checkpoints[d]):
                 return
         if d == self.count:
-            if size >= self.k:
-                fam = SetFamily(self.n, in_bm)
-                if is_maximal_k_wise(fam, self.k, self.mode):
-                    self._record(in_bm, size)
+            # every entered state passed hits_empty, so the family is k-wise
+            if state.size >= self.k and state.addable(in_bm) == 0:
+                self._record(in_bm, state.size)
             return
         if (forced_bm >> d) & 1:
-            self._enter(d, in_bm, forced_bm, size, layers, seen)
+            self._enter(d, in_bm, forced_bm, state)
             return
-        self._branch(d + 1, in_bm, forced_bm, size, layers, seen)
-        self._enter(d, in_bm, forced_bm, size, layers, seen)
+        self._branch(d + 1, in_bm, forced_bm, state)
+        self._enter(d, in_bm, forced_bm, state)
 
-    def _enter(
-        self, m: int, in_bm: int, forced_bm: int, size: int, layers: List[int], seen: int
-    ) -> None:
-        depth = self.k
-        new_layers = layers.copy()
-        for j in range(min(depth, seen + 1), 1, -1):
-            if new_layers[j - 1]:
-                new_layers[j] |= project_intersect_bits(new_layers[j - 1], m, self.n)
-        new_layers[1] |= 1 << m
-        for j in range(2, depth + 1):
-            if new_layers[j] & 1:
-                return
-        self._branch(
-            m + 1,
-            in_bm | (1 << m),
-            forced_bm | supercube_bits(m, self.n),
-            size + 1,
-            new_layers,
-            min(seen + 1, depth),
-        )
+    def _enter(self, m: int, in_bm: int, forced_bm: int, state: ReachState) -> None:
+        state = state.fold(m)
+        if state.hits_empty():
+            return
+        self._branch(m + 1, in_bm | (1 << m), forced_bm | supercube_bits(m, self.n), state)
 
     def _record(self, in_bm: int, size: int) -> None:
         if self.best is None or size < self.best:

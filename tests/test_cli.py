@@ -3,12 +3,15 @@
 import csv
 import hashlib
 import json
+import random
 
 import pytest
 
 from kwise import (
+    KwiseMode,
     SetFamily,
     balanced_block,
+    is_k_wise_intersecting,
     linked_cubes,
     pair_of_cubes,
     pair_of_cubes_size,
@@ -94,6 +97,34 @@ def test_check_maximal_and_witness(capsys):
     assert rec["result"]["kwise"] is True
     assert rec["result"]["maximal"] is False
     assert isinstance(rec["result"]["addable_witness"], int)
+
+
+def test_check_linked_cubes_sweep_n15_to_22(tmp_path, capsys):
+    # beyond acceptance criterion 3 (n = 3..14): each intact family is
+    # maximal in both modes, and a punctured copy names a witness that is a
+    # non-member, no larger than the removed mask, and re-validates
+    rng = random.Random(15)
+    for n in range(15, 23):
+        fam = linked_cubes(n, balanced_block(n))
+        members = fam.member_list()
+        removed = members[rng.randrange(len(members))]
+        punctured = SetFamily(n, fam.bitmap & ~(1 << removed))
+        for tag, f in (("intact", fam), ("punctured", punctured)):
+            path = tmp_path / f"{tag}_{n}.hex"
+            path.write_text(f.to_hex())
+            for mode in KwiseMode:
+                res = run_record(
+                    capsys, "check", "--n", str(n), "--k", "3", "--mode", mode.value,
+                    "--family", f"@{path}", "--no-timestamp",
+                )["result"]
+                assert res["size"] == len(f) and res["kwise"] is True
+                if f is fam:
+                    assert res["maximal"] is True and res["addable_witness"] is None
+                    continue
+                w = res["addable_witness"]
+                assert res["maximal"] is False
+                assert w not in punctured and w <= removed
+                assert is_k_wise_intersecting(punctured.with_masks([w]), 3, mode)
 
 
 def test_closure_record(capsys):

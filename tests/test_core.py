@@ -5,6 +5,7 @@ package's bitmap fast paths, so agreement is meaningful.
 """
 
 import itertools
+import random
 from functools import reduce
 from operator import and_
 
@@ -30,6 +31,7 @@ from kwise import (
     symmetric_difference_count,
     up_closure,
 )
+from kwise.core import ReachState
 
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
@@ -275,6 +277,25 @@ def test_maximal_closure_matches_ascending_scan(fam, k):
         assert closed.bitmap & fam.bitmap == fam.bitmap
         assert is_maximal_k_wise(closed, k, mode)
         assert closed == naive_ascending_closure(fam, k, mode)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_maximal_closure_matches_ascending_scan_n4_n5(seed):
+    # unplanted random seeds at n = 4..5: the closure's blocking layer
+    # gains minimal elements part way through, so the cached addable set
+    # is recomputed mid-closure
+    rng = random.Random(seed)
+    changed = 0
+    for n, k in ((4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4)):
+        fam = SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randint(1, 4)))
+        for mode in (DISTINCT, REPETITION):
+            if not is_k_wise_intersecting(fam, k, mode):
+                continue
+            closed = maximal_closure(fam, k, mode)
+            assert closed == naive_ascending_closure(fam, k, mode)
+            start = ReachState.of(fam, k, mode).relevant()
+            changed += closed != fam and ReachState.of(closed, k, mode).relevant() != start
+    assert changed
 
 
 def test_maximal_closure_example():
