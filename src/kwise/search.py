@@ -16,12 +16,13 @@ family against the split, and the exact bound arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .bitops import (
     check_ground,
@@ -32,7 +33,7 @@ from .bitops import (
     mask_complement,
     supercube_bits,
 )
-from .constructions import balanced_block, linked_cubes, pair_of_cubes
+from .constructions import balanced_block, linked_cubes, linked_cubes_size, pair_of_cubes
 from .core import (
     KwiseMode,
     ReachState,
@@ -59,22 +60,31 @@ def canonical_form(family: SetFamily) -> SetFamily:
     n = family.n
     if n > MAX_CANONICAL_GROUND:
         raise ValueError(f"canonical form capped at n={MAX_CANONICAL_GROUND}, got {n}")
-    if family.bitmap == 0 or n <= 1:
-        return family
-    members = family.member_list()
-    best = family.bitmap
-    for perm in itertools.permutations(range(n)):
+    return SetFamily(n, _least_relabeling(n, family.bitmap, set()))
+
+
+def _least_relabeling(n: int, bitmap: int, pending: Set[int]) -> int:
+    """Least bitmap among the n! relabelings of a family bitmap.
+
+    Every relabeling the scan meets is also discarded from pending, so a
+    caller holding many labeled copies of a few classes scans each class
+    once.  Permuting powers of two over each member's precomputed bit
+    indices relabels a member with one OR per element.
+    """
+    members = [tuple(iter_bits(m)) for m in iter_bits(bitmap)]
+    discard = pending.discard
+    best = bitmap
+    for perm in itertools.permutations([1 << i for i in range(n)]):
         bm = 0
-        for m in members:
+        for bits in members:
             relabeled = 0
-            while m:
-                low = m & -m
-                relabeled |= 1 << perm[low.bit_length() - 1]
-                m ^= low
+            for i in bits:
+                relabeled |= perm[i]
             bm |= 1 << relabeled
         if bm < best:
             best = bm
-    return SetFamily(n, best)
+        discard(bm)
+    return best
 
 
 def enumerate_upsets(n: int) -> List[int]:
@@ -99,6 +109,22 @@ def enumerate_upsets(n: int) -> List[int]:
     return ups
 
 
+def _below_k_scan(
+    n: int, k: int, mode: KwiseMode
+) -> Iterator[Tuple[int, Optional[SetFamily]]]:
+    """Every family of fewer than k members, by size then combination order.
+
+    Yields (size, family) when the family is maximal k-wise intersecting
+    and (size, None) otherwise, so a caller can count and stop per family.
+    """
+    count = 1 << n
+    for size in range(1, min(k, count + 1)):
+        for combo in itertools.combinations(range(count), size):
+            fam = SetFamily.from_masks(n, combo)
+            maximal = is_k_wise_intersecting(fam, k, mode) and is_maximal_k_wise(fam, k, mode)
+            yield size, (fam if maximal else None)
+
+
 def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamily]:
     """Every maximal k-wise intersecting family on n elements, n small.
 
@@ -107,13 +133,7 @@ def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamil
     """
     if n > MAX_UPSET_GROUND:
         raise ValueError(f"exhaustive enumeration capped at n={MAX_UPSET_GROUND}, got {n}")
-    results: List[SetFamily] = []
-    count = 1 << n
-    for size in range(1, min(k, count + 1)):
-        for combo in itertools.combinations(range(count), size):
-            fam = SetFamily.from_masks(n, combo)
-            if is_k_wise_intersecting(fam, k, mode) and is_maximal_k_wise(fam, k, mode):
-                results.append(fam)
+    results = [fam for _, fam in _below_k_scan(n, k, mode) if fam is not None]
     for bm in enumerate_upsets(n):
         if bm.bit_count() < k:
             continue
@@ -140,8 +160,8 @@ class SearchConfig:
             raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
         if not isinstance(self.mode, KwiseMode):
             raise ValueError(f"mode must be a KwiseMode, got {self.mode!r}")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not math.isfinite(self.budget) or self.budget <= 0:
+            raise ValueError(f"budget must be a positive finite number, got {self.budget!r}")
 
 
 @dataclass(frozen=True)
@@ -305,25 +325,22 @@ def search_min(config: SearchConfig) -> SearchReport:
     interrupted = False
     proven_floor = 1
     try:
-        for size in range(1, min(k, count + 1)):
-            for combo in itertools.combinations(range(count), size):
-                nodes += 1
-                if nodes & 255 == 0 and time.monotonic() > deadline:
-                    raise _BudgetExceeded
-                fam = SetFamily.from_masks(n, combo)
-                if not is_k_wise_intersecting(fam, k, mode):
-                    continue
-                if is_maximal_k_wise(fam, k, mode):
-                    if best is None:
-                        best = size
-                        found.append(fam.bitmap)
-                    elif config.enumerate_all:
-                        found.append(fam.bitmap)
-                    else:
-                        break
-            if best is not None:
+        for size, fam in _below_k_scan(n, k, mode):
+            if best is not None and size > best:
                 break
-            proven_floor = size + 1
+            proven_floor = size
+            nodes += 1
+            if nodes & 255 == 0 and time.monotonic() > deadline:
+                raise _BudgetExceeded
+            if fam is None:
+                continue
+            if best is None:
+                best = size
+            elif not config.enumerate_all:
+                break
+            found.append(fam.bitmap)
+        if best is None:
+            proven_floor = min(k, count + 1)
     except _BudgetExceeded:
         interrupted = True
 
@@ -345,15 +362,16 @@ def search_min(config: SearchConfig) -> SearchReport:
     else:
         lower_bound = best
 
-    canon: Dict[int, SetFamily] = {}
-    for bm in found:
-        cf = canonical_form(SetFamily(n, bm))
-        canon[cf.bitmap] = cf
-    witnesses = tuple(canon[b] for b in sorted(canon))
-    target = None
-    if n >= 2:
+    # each scan discards its whole class from pending: one scan per class
+    pending = set(found)
+    forms = [_least_relabeling(n, bm, pending) for bm in found if bm in pending]
+    witnesses = tuple(SetFamily(n, bm) for bm in sorted(forms))
+    matched = (False,) * len(witnesses)
+    # isomorphic families have equal sizes, so the linked cubes can only
+    # match when the minimum is their size
+    if n >= 2 and best == linked_cubes_size(n, n // 2):
         target = canonical_form(linked_cubes(n, balanced_block(n))).bitmap
-    matched = tuple(w.bitmap == target for w in witnesses)
+        matched = tuple(w.bitmap == target for w in witnesses)
     return SearchReport(
         config=config,
         f_value=best,

@@ -253,6 +253,18 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_search_min_rejects_non_finite_budget(tmp_path, capsys, budget):
+    ledger = tmp_path / "runs.jsonl"
+    code, out, err = run(
+        capsys, "search-min", "--n", "3", "--k", "3", "--budget", budget,
+        "--out", str(ledger),
+    )
+    assert code == 1 and "budget" in err
+    assert out == ""
+    assert not ledger.exists() or ledger.read_text() == ""
+
+
 def build_ledger(path, capsys, entries):
     for argv in entries:
         code, out, err = run(capsys, *argv, "--out", str(path), "--no-timestamp")

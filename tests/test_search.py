@@ -70,6 +70,40 @@ def test_canonical_form_idempotent_and_separating():
     assert two_block != canonical_form(linked_cubes(5, 0b00001))
 
 
+def brute_canonical(family):
+    return min(
+        (relabel(family, perm) for perm in itertools.permutations(range(family.n))),
+        key=lambda fam: fam.bitmap,
+    )
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))
+    )
+)
+@settings(deadline=None, max_examples=60)
+def test_canonical_form_is_least_relabeling(case):
+    n, bm = case
+    fam = SetFamily(n, bm)
+    assert canonical_form(fam) == brute_canonical(fam)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        SetFamily(1, 0b01),
+        SetFamily(1, 0b10),
+        SetFamily(1, 0b11),
+        SetFamily(4, 0),
+        SetFamily(4, (1 << 16) - 1),
+        SetFamily(5, (1 << 32) - 1),
+    ],
+)
+def test_canonical_form_edge_families(fam):
+    assert canonical_form(fam) == brute_canonical(fam)
+
+
 def test_canonical_form_cap():
     with pytest.raises(ValueError):
         canonical_form(SetFamily(11, 1))
@@ -133,6 +167,22 @@ def test_search_witness_classes_are_disjoint_pairs():
         assert len(profiles) == want
 
 
+@pytest.mark.parametrize(
+    "n,k,mode",
+    [(n, k, mode) for n in (1, 2, 3, 4) for k in (2, 3, 4) for mode in (DISTINCT, REPETITION)]
+    + [(5, 3, DISTINCT), (5, 4, DISTINCT)],
+)
+def test_search_witnesses_match_enumeration(n, k, mode):
+    """One canonical form per class of the minimum families, against the
+    exhaustive listing canonicalised family by family."""
+    families = enumerate_maximal_families(n, k, mode)
+    f = min(len(fam) for fam in families)
+    want = sorted({canonical_form(fam).bitmap for fam in families if len(fam) == f})
+    report = search_min(SearchConfig(n=n, k=k, mode=mode))
+    assert report.f_value == f
+    assert [w.bitmap for w in report.witnesses] == want
+
+
 def test_search_symmetry_toggle_agrees():
     for n, k in [(3, 3), (4, 3)]:
         on = search_min(SearchConfig(n=n, k=k, symmetry=True))
@@ -160,8 +210,9 @@ def test_search_config_validation():
         SearchConfig(n=8, k=3)
     with pytest.raises(ValueError):
         SearchConfig(n=3, k=1)
-    with pytest.raises(ValueError):
-        SearchConfig(n=3, k=3, budget=0)
+    for budget in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SearchConfig(n=3, k=3, budget=budget)
     with pytest.raises(ValueError):
         SearchConfig(n=3, k=3, mode="distinct")
     with pytest.raises(ValueError):
