@@ -7,12 +7,11 @@ derived ratios are exact rationals.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .bitops import cube_bits, mask_complement
 from .constructions import Partition
@@ -265,8 +264,8 @@ def min_bipartization(
 ) -> BipartizationResult:
     """Fewest edge deletions making the graph bipartite, with a witness split.
 
-    Exact mode enumerates all cuts (vertex zero pinned to one side) and is
-    capped at 24 vertices.  Heuristic mode runs a seeded local search over
+    Exact mode scores all cuts (vertex zero pinned to one side) in one
+    packed int and is capped at 24 vertices.  Heuristic mode runs a seeded local search over
     single-vertex moves and stops at a local optimum or after the given
     number of move evaluations; its result is an upper bound.
     """
@@ -292,19 +291,54 @@ def min_bipartization(
     return BipartizationResult(len(edges) - cut, left, right, exact)
 
 
+# Field width of the packed max-cut kernel: room for a cut of every edge
+# of the largest exact graph, C(24, 2) = 276, plus a guard bit above it.
+_CUT_FIELD = math.comb(MAX_EXACT_CUT_VERTICES, 2).bit_length() + 1
+
+
 def _exact_max_cut(m: int, edges: List[Tuple[int, int]]) -> int:
+    """Lowest-index maximum cut, vertex 0 pinned to the left side.
+
+    One int packs a _CUT_FIELD-bit field per assignment S of vertices
+    1..j (vertex i on bit i-1), holding the cut value of S.  Adding vertex
+    j + 1 doubles the int: its lower half puts the new vertex on the left
+    and gains a[S], its lower neighbours on the right in S; its upper half
+    puts it on the right and gains its other lower neighbours.  a is built
+    by the same doubling, so each vertex costs O(2^j) bit work whatever
+    its degree.  The maximum is found by a guard-bit threshold test, and
+    the lowest field that holds it is the answer.
+    """
     if m <= 1 or not edges:
         return 0
-    count = 1 << (m - 1)  # vertex 0 stays on the left side
-    masks = np.arange(count, dtype=np.uint32)
-    cut = np.zeros(count, dtype=np.int32)
+    w = _CUT_FIELD
+    lower = [0] * m  # bitset of each vertex's lower neighbours
     for u, v in edges:
-        # assignment bit i of vertex i+1; vertex 0 contributes a zero bit
-        bu = (masks >> (u - 1)) & 1 if u > 0 else np.zeros(count, dtype=np.uint32)
-        bv = (masks >> (v - 1)) & 1 if v > 0 else np.zeros(count, dtype=np.uint32)
-        cut += (bu ^ bv).astype(np.int32)
-    best = int(np.argmax(cut))
-    return best << 1
+        lower[max(u, v)] |= 1 << min(u, v)
+    ones = [1]  # ones[j]: a one in each of 2^j fields
+    for j in range(1, m):
+        ones.append(ones[-1] | ones[-1] << (w << (j - 1)))
+    cut = 0
+    for j in range(1, m):
+        a = 0
+        for u in range(1, j):
+            a |= (a + ones[u - 1] if lower[j] >> u & 1 else a) << (w << (u - 1))
+        cut = (cut + a) | (cut + lower[j].bit_count() * ones[j - 1] - a) << (w << (j - 1))
+    # a field holds at least v exactly when adding 2^(w-1) - v sets its guard
+    everywhere = ones[m - 1]
+    guards = everywhere << (w - 1)
+
+    def reaching(v: int) -> int:
+        return (cut + ((1 << (w - 1)) - v) * everywhere) & guards
+
+    lo, hi = (len(edges) + 1) // 2, len(edges)  # a maximum cut holds half the edges
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if reaching(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    hits = reaching(lo)
+    return ((hits & -hits).bit_length() - 1) // w << 1
 
 
 def _local_search_cut(m: int, edges: List[Tuple[int, int]], budget: int, seed: int) -> int:

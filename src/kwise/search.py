@@ -116,13 +116,24 @@ def _below_k_scan(
 
     Yields (size, family) when the family is maximal k-wise intersecting
     and (size, None) otherwise, so a caller can count and stop per family.
+    Each size's combinations are walked depth first in lexicographic
+    order, so combinations sharing a prefix share its folded state.
     """
     count = 1 << n
+
+    def leaves(state: ReachState, bm: int, start: int, depth: int):
+        for g in range(start, count - depth + 1):
+            child = state.fold(g)
+            if depth > 1:
+                yield from leaves(child, bm | 1 << g, g + 1, depth - 1)
+            else:
+                yield child, bm | 1 << g
+
+    empty = ReachState(n, k, mode)
     for size in range(1, min(k, count + 1)):
-        for combo in itertools.combinations(range(count), size):
-            fam = SetFamily.from_masks(n, combo)
-            maximal = is_k_wise_intersecting(fam, k, mode) and is_maximal_k_wise(fam, k, mode)
-            yield size, (fam if maximal else None)
+        for state, bm in leaves(empty, 0, 0, size):
+            maximal = state.intersecting() and state.addable(bm) == 0
+            yield size, (SetFamily(n, bm) if maximal else None)
 
 
 def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamily]:

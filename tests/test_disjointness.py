@@ -1,10 +1,14 @@
 """Disjointness graphs, stability ratios, and bipartization."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kwise import (
@@ -19,6 +23,7 @@ from kwise import (
     min_bipartization,
     stability_stats,
 )
+from kwise.disjointness import MAX_EXACT_CUT_VERTICES, _exact_max_cut
 
 
 @st.composite
@@ -174,6 +179,50 @@ def brute_max_cut(m, edges):
         cut = sum(1 for u, v in edges if ((asg >> u) ^ (asg >> v)) & 1)
         best = max(best, cut)
     return best
+
+
+def cut_value(assignment, edges):
+    return sum(1 for u, v in edges if ((assignment >> u) ^ (assignment >> v)) & 1)
+
+
+@st.composite
+def edge_lists(draw, max_m=12):
+    m = draw(st.integers(min_value=0, max_value=max_m))
+    pairs = list(itertools.combinations(range(m), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return m, sorted(chosen)
+
+
+@given(edge_lists())
+@settings(deadline=None, max_examples=150)
+@example((0, []))
+@example((1, []))
+@example((7, []))
+@example((2, [(0, 1)]))
+def test_exact_max_cut_is_lowest_maximising_assignment(graph):
+    """The packed kernel returns the lowest-index maximum cut, vertex 0 left."""
+    m, edges = graph
+    assignments = [s << 1 for s in range(1 << max(m - 1, 0))]
+    best = max(cut_value(a, edges) for a in assignments)
+    want = next(a for a in assignments if cut_value(a, edges) == best)
+    assert _exact_max_cut(m, edges) == want
+
+
+@pytest.mark.parametrize("m", range(MAX_EXACT_CUT_VERTICES + 1))
+def test_exact_max_cut_complete_graphs(m):
+    """K_m splits floor(m/2) : ceil(m/2); the lowest such assignment puts
+    vertices 1..floor(m/2) on the right."""
+    edges = list(itertools.combinations(range(m), 2))
+    got = _exact_max_cut(m, edges)
+    assert got == ((1 << m // 2) - 1) << 1
+    assert cut_value(got, edges) == (m // 2) * ((m + 1) // 2)
+
+
+def test_import_loads_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import kwise, kwise.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_bipartization_triangle():

@@ -32,7 +32,7 @@ from kwise import (
     supercube_bits,
     up_close_bits,
 )
-from kwise.search import _BranchAndBound, _naive_is_maximal
+from kwise.search import _BranchAndBound, _below_k_scan, _naive_is_maximal
 
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
@@ -122,6 +122,20 @@ def test_enumerate_maximal_complete_at_n3(k, mode):
         for bm in range(1, 1 << 8)
         if _naive_is_maximal(3, list(SetFamily(3, bm)), k, mode)
     }
+    assert got == want
+
+
+@pytest.mark.parametrize("mode", [DISTINCT, REPETITION])
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3, 4) for k in (2, 3, 4, 5)])
+def test_below_k_scan_matches_naive_filter(n, k, mode):
+    """The prefix-sharing scan yields, in order, every family of fewer than
+    k members with its maximality decided by the naive oracle."""
+    got = [(size, None if fam is None else fam.bitmap) for size, fam in _below_k_scan(n, k, mode)]
+    want = [
+        (size, sum(1 << m for m in combo) if _naive_is_maximal(n, list(combo), k, mode) else None)
+        for size in range(1, min(k, (1 << n) + 1))
+        for combo in itertools.combinations(range(1 << n), size)
+    ]
     assert got == want
 
 
