@@ -265,9 +265,10 @@ def min_bipartization(
     """Fewest edge deletions making the graph bipartite, with a witness split.
 
     Exact mode scores all cuts (vertex zero pinned to one side) in one
-    packed int and is capped at 24 vertices.  Heuristic mode runs a seeded local search over
-    single-vertex moves and stops at a local optimum or after the given
-    number of move evaluations; its result is an upper bound.
+    packed int and is capped at 24 vertices.  Heuristic mode runs a seeded
+    local search over single-vertex moves and stops at a local optimum or
+    after the given number of move evaluations; its result is an upper
+    bound.
     """
     if graph.bipartite:
         raise ValueError("bipartization applies to the single-family graph")
@@ -299,14 +300,14 @@ _CUT_FIELD = math.comb(MAX_EXACT_CUT_VERTICES, 2).bit_length() + 1
 def _exact_max_cut(m: int, edges: List[Tuple[int, int]]) -> int:
     """Lowest-index maximum cut, vertex 0 pinned to the left side.
 
-    One int packs a _CUT_FIELD-bit field per assignment S of vertices
-    1..j (vertex i on bit i-1), holding the cut value of S.  Adding vertex
-    j + 1 doubles the int: its lower half puts the new vertex on the left
-    and gains a[S], its lower neighbours on the right in S; its upper half
-    puts it on the right and gains its other lower neighbours.  a is built
-    by the same doubling, so each vertex costs O(2^j) bit work whatever
-    its degree.  The maximum is found by a guard-bit threshold test, and
-    the lowest field that holds it is the answer.
+    Before vertex j is added, one int packs a _CUT_FIELD-bit field per
+    assignment S of vertices 1..j-1 (vertex i on bit i-1), holding the cut
+    value of S.  Adding j doubles the int: its lower half puts j on the
+    left and gains a[S], the lower neighbours of j on the right in S; its
+    upper half puts j on the right and gains the other lower neighbours.
+    a is built by the same doubling, so vertex j costs O(2^j) bit work
+    whatever its degree.  The maximum is found by a guard-bit threshold
+    test, and the lowest field that holds it is the answer.
     """
     if m <= 1 or not edges:
         return 0
