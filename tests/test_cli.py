@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -341,6 +342,9 @@ def test_report_integrity_violation(tmp_path, capsys):
     code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
     assert code == 1
     assert "integrity violation" in err
+    assert out == ""
+    assert not (tmp_path / "bad_f_table.csv").exists()
+    assert not (tmp_path / "bad_linked_cubes_maximality.csv").exists()
 
 
 def test_report_ignores_volatile_divergence(tmp_path, capsys):
@@ -356,3 +360,51 @@ def test_report_ignores_volatile_divergence(tmp_path, capsys):
         fh.write(json.dumps({**base, "result": {"f": 2, "seconds": 0.9}}) + "\n")
     code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
     assert code == 0
+
+
+DATA = Path(__file__).parent / "data"
+LC5 = linked_cubes(5, balanced_block(5)).to_hex()
+LC7 = linked_cubes(7, balanced_block(7)).to_hex()
+PINNED_SCRIPT = [
+    ("construct", "linked-cubes", "--n", "5"),
+    ("construct", "pair-of-cubes", "--n", "4", "--s", "1,3"),
+    ("construct", "series-of-cubes", "--n", "6", "--parts", "3"),
+    ("construct", "pair-of-cubes", "--n", "21"),  # family goes to a sidecar
+    ("check", "--n", "5", "--k", "3", "--family", LC5),
+    ("check", "--n", "5", "--k", "3", "--mode", "repetition", "--family", LC5),
+    ("check", "--n", "3", "--k", "3", "--family", linked_cubes(3, 0b001).to_hex()),
+    ("closure", "--n", "4", "--k", "3", "--family", "0028"),
+    ("closure", "--n", "4", "--k", "3", "--mode", "repetition", "--family", "0028"),
+    ("gen-coverage", "--n", "4", "--k", "2", "--family", "0116"),
+    ("disjointness", "--n", "3", "--family", "7e", "--elem", "2"),
+    ("disjointness", "--n", "3", "--family", "0f", "--family", "f0"),
+    ("disjointness", "--n", "9", "--family", "f" * 128),  # edges truncated
+    ("stats", "--n", "3", "--family", "0f", "--family", "11", "--ell", "2", "--elem", "2"),
+    ("stats", "--n", "3", "--family", "0f", "--family", "11", "--ell", "2"),
+    ("search-min", "--n", "4", "--k", "3"),
+    ("search-min", "--n", "4", "--k", "3", "--mode", "repetition"),
+    ("audit", "--n", "7", "--family", LC7, "--s", "1,2,3", "--eps", "1/4"),
+    ("audit", "--n", "7", "--family", LC7, "--s", "4,5,6", "--eps", "1/4"),  # unmet
+    ("report", "runs.jsonl"),
+]
+
+
+def test_ledger_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # the ledger schema against frozen fixtures: every subcommand, both
+    # modes, both disjointness forms, a sidecar; only the tmp path varies
+    monkeypatch.chdir(tmp_path)
+    for argv in PINNED_SCRIPT:
+        code, out, err = run(
+            capsys, *argv, "--seed", "7", "--no-timestamp", "--out", "runs.jsonl"
+        )
+        assert code == 0 and out == "", err
+    ledger = (tmp_path / "runs.jsonl").read_text(encoding="utf-8")
+    pinned = (DATA / "pinned_runs.jsonl").read_text(encoding="utf-8")
+    assert ledger.replace(str(tmp_path.resolve()), "<tmp>") == pinned
+    for table in ("f_table", "linked_cubes_maximality"):
+        got = (tmp_path / f"runs_{table}.csv").read_bytes()
+        assert got == (DATA / f"pinned_runs_{table}.csv").read_bytes()
+    sidecars = list(tmp_path.glob("family_*.hex"))
+    assert len(sidecars) == 1
+    digest = hashlib.sha256(sidecars[0].read_text().strip().encode()).hexdigest()
+    assert sidecars[0].name == f"family_{digest[:16]}.hex"
