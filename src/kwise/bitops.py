@@ -9,7 +9,6 @@ a member).  Everything here is a pure function on ints.
 from functools import lru_cache
 from typing import Iterable, Iterator, List
 
-MAX_MASK_GROUND = 30
 MAX_FAMILY_GROUND = 26
 
 
@@ -37,9 +36,9 @@ def mask_elements(mask: int) -> List[int]:
     return [i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
-def check_ground(n: int, limit: int = MAX_FAMILY_GROUND) -> None:
-    if not isinstance(n, int) or not 1 <= n <= limit:
-        raise ValueError(f"ground size must be an int in 1..{limit}, got {n!r}")
+def check_ground(n: int) -> None:
+    if not isinstance(n, int) or not 1 <= n <= MAX_FAMILY_GROUND:
+        raise ValueError(f"ground size must be an int in 1..{MAX_FAMILY_GROUND}, got {n!r}")
 
 
 def family_full_bitmap(n: int) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -48,8 +49,20 @@ MAX_INLINE_EDGES = 4096
 VOLATILE_RESULT_KEYS = ("seconds",)
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _encode(value: Any) -> str:
+    """The one JSON encoding a ledger record needs beyond plain JSON types."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    raise TypeError(f"{type(value).__name__} has no ledger encoding")
+
+
+def _fields(report: Any, params: Dict[str, Any]) -> Dict[str, Any]:
+    """A result dataclass as a payload, less the fields params already records."""
+    return {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report)
+        if f.name not in params
+    }
 
 
 def _parse_family(n: int, text: str) -> SetFamily:
@@ -133,7 +146,7 @@ def _cmd_gen_coverage(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     params = {"n": args.n, "k": args.k, "family": args.family}
     result = {
         "count": cov.count,
-        "fraction": _frac(cov.fraction),
+        "fraction": cov.fraction,
         "uncovered_sample": sample,
     }
     return params, result
@@ -178,19 +191,7 @@ def _cmd_stats(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "ell": args.ell,
         "elem": elem,
     }
-    result = {
-        "alpha": _frac(stats.alpha),
-        "beta": _frac(stats.beta),
-        "x_ratios": [_frac(r) for r in stats.x_ratios],
-        "y_ratios": [_frac(r) for r in stats.y_ratios],
-        "e_total": stats.e_total,
-        "e_elem": stats.e_elem,
-        "theta": _frac(stats.theta),
-        "phi": _frac(stats.phi),
-        "threshold_x": stats.threshold_x,
-        "threshold_y": stats.threshold_y,
-    }
-    return params, result
+    return params, _fields(stats, params)
 
 
 def _cmd_search_min(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -216,37 +217,7 @@ def _cmd_audit(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     eps = Fraction(args.eps)
     report = audit_claim_counts(fam, s, eps)
     params = {"n": args.n, "family": args.family, "s": mask_elements(s), "eps": args.eps}
-    result = {
-        "ell": report.ell,
-        "family_size": report.family_size,
-        "cube_pair_size": report.cube_pair_size,
-        "g1_size": report.g1_size,
-        "g2_size": report.g2_size,
-        "g3_size": report.g3_size,
-        "sym_diff_size": report.sym_diff_size,
-        "hypotheses_met": report.hypotheses_met,
-        "outside_count": report.outside_count,
-        "chain_lower": report.chain_lower,
-        "pair_bound": _frac(report.pair_bound),
-        "pair_bound_holds": report.pair_bound_holds,
-        "product_bound": report.product_bound,
-        "product_bound_holds": report.product_bound_holds,
-        "product_bound_equality": report.product_bound_equality,
-        "g3_empty": report.g3_empty,
-    }
-    return params, result
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "closure": _cmd_closure,
-    "construct": _cmd_construct,
-    "gen-coverage": _cmd_gen_coverage,
-    "disjointness": _cmd_disjointness,
-    "stats": _cmd_stats,
-    "search-min": _cmd_search_min,
-    "audit": _cmd_audit,
-}
+    return params, _fields(report, params)
 
 
 def _stable_payload(result: Dict[str, Any]) -> str:
@@ -254,7 +225,14 @@ def _stable_payload(result: Dict[str, Any]) -> str:
     return json.dumps(trimmed, sort_keys=True)
 
 
-def _run_report(args) -> int:
+def _write_table(path: Path, header, rows: Dict[Any, list], order) -> None:
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows[key] for key in sorted(rows, key=order))
+
+
+def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     path = Path(args.ledger)
     text = path.read_text(encoding="utf-8")
     records = []
@@ -282,40 +260,30 @@ def _run_report(args) -> int:
         )
         payload = _stable_payload(rec.get("result") or {})
         if key in seen and seen[key] != payload:
-            print(
-                f"error: ledger integrity violation for {key[0]} with params {key[1]}",
-                file=sys.stderr,
-            )
-            return 1
+            raise ValueError(f"ledger integrity violation for {key[0]} with params {key[1]}")
         seen.setdefault(key, payload)
 
-    f_rows = {}
+    f_rows, max_rows = {}, {}
     for rec in records:
-        if rec.get("command") != "search-min":
+        if rec.get("command") not in ("search-min", "check"):
             continue
         params = rec.get("params", {})
         result = rec.get("result", {})
         n, k, mode = params.get("n"), params.get("k"), params.get("mode")
-        if not isinstance(n, int) or not isinstance(k, int) or result.get("f") is None:
+        if rec.get("command") == "search-min":
+            if not isinstance(n, int) or not isinstance(k, int) or result.get("f") is None:
+                continue
+            balanced = linked_cubes_size(n, n // 2) if n >= 2 else ""
+            try:
+                series = series_of_cubes_size(n, k - 1)
+            except ValueError:
+                series = ""
+            try:
+                janzer = janzer_size(n, k)
+            except ValueError:
+                janzer = ""
+            f_rows.setdefault((n, k, mode), [n, k, mode, result["f"], balanced, series, janzer])
             continue
-        balanced = linked_cubes_size(n, n // 2) if n >= 2 else ""
-        try:
-            series = series_of_cubes_size(n, k - 1)
-        except ValueError:
-            series = ""
-        try:
-            janzer = janzer_size(n, k)
-        except ValueError:
-            janzer = ""
-        f_rows.setdefault((n, k, mode), [n, k, mode, result["f"], balanced, series, janzer])
-
-    max_rows = {}
-    for rec in records:
-        if rec.get("command") != "check":
-            continue
-        params = rec.get("params", {})
-        result = rec.get("result", {})
-        n = params.get("n")
         family = params.get("family")
         if not isinstance(n, int) or not 2 <= n <= 26 or not isinstance(family, str):
             continue
@@ -324,25 +292,15 @@ def _run_report(args) -> int:
         expected = linked_cubes(n, balanced_block(n)).to_hex()
         if family.strip().lower() != expected:
             continue
-        row_key = (n, params.get("k"), params.get("mode"))
-        max_rows.setdefault(
-            row_key,
-            [n, params.get("k"), params.get("mode"), result.get("size"), result.get("maximal")],
-        )
+        max_rows.setdefault((n, k, mode), [n, k, mode, result.get("size"), result.get("maximal")])
 
     base = path.with_suffix("")
     f_path = Path(f"{base}_f_table.csv")
     m_path = Path(f"{base}_linked_cubes_maximality.csv")
-    with f_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "k", "mode", "f", "balanced_pair_size", "series_size", "janzer_size"])
-        for key in sorted(f_rows, key=lambda t: (t[0], t[1], str(t[2]))):
-            writer.writerow(f_rows[key])
-    with m_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "k", "mode", "size", "maximal"])
-        for key in sorted(max_rows, key=lambda t: (t[0], str(t[1]), str(t[2]))):
-            writer.writerow(max_rows[key])
+    f_header = ["n", "k", "mode", "f", "balanced_pair_size", "series_size", "janzer_size"]
+    _write_table(f_path, f_header, f_rows, lambda t: (t[0], t[1], str(t[2])))
+    m_header = ["n", "k", "mode", "size", "maximal"]
+    _write_table(m_path, m_header, max_rows, lambda t: (t[0], str(t[1]), str(t[2])))
 
     params = {"ledger": str(path)}
     result = {
@@ -352,8 +310,20 @@ def _run_report(args) -> int:
         "maximality_rows": len(max_rows),
         "skipped_lines": malformed,
     }
-    _emit_record(args, "report", params, result)
-    return 0
+    return params, result
+
+
+_HANDLERS = {
+    "check": _cmd_check,
+    "closure": _cmd_closure,
+    "construct": _cmd_construct,
+    "gen-coverage": _cmd_gen_coverage,
+    "disjointness": _cmd_disjointness,
+    "stats": _cmd_stats,
+    "search-min": _cmd_search_min,
+    "audit": _cmd_audit,
+    "report": _cmd_report,
+}
 
 
 def _emit_record(args, command: str, params: Dict[str, Any], result: Dict[str, Any]) -> None:
@@ -369,12 +339,19 @@ def _emit_record(args, command: str, params: Dict[str, Any], result: Dict[str, A
             result.pop(key, None)
     else:
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
-    line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    line = json.dumps(record, sort_keys=True, separators=(",", ":"), default=_encode)
     if args.out:
         with open(args.out, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
     else:
         print(line)
+
+
+def _parent(flag: str, **spec: Any) -> argparse.ArgumentParser:
+    """A help-less parser holding one argument, shared by subcommands as a parent."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **spec)
+    return parent
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -390,36 +367,29 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit timestamp and timing fields so reruns are byte-identical",
     )
+    n_arg = _parent("--n", type=int, required=True)
+    k_arg = _parent("--k", type=int, required=True)
+    mode_arg = _parent("--mode", choices=[m.value for m in KwiseMode], default="distinct")
+    family_arg = _parent("--family", required=True, help="hex bitmap, or @path to a hex file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="k-wise and maximality verdicts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in KwiseMode], default="distinct")
-    p.add_argument("--family", required=True, help="hex bitmap, or @path to a hex file")
+    def command(name: str, text: str, *shared: argparse.ArgumentParser):
+        return sub.add_parser(name, parents=[common, n_arg, *shared], help=text)
 
-    p = sub.add_parser("closure", parents=[common], help="grow a family to a maximal one")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in KwiseMode], default="distinct")
-    p.add_argument("--family", required=True, help="hex bitmap, or @path to a hex file")
+    command("check", "k-wise and maximality verdicts", k_arg, mode_arg, family_arg)
+    command("closure", "grow a family to a maximal one", k_arg, mode_arg, family_arg)
 
-    p = sub.add_parser("construct", parents=[common], help="emit a reference construction")
+    p = command("construct", "emit a reference construction")
     p.add_argument(
         "construction",
         choices=["pair-of-cubes", "linked-cubes", "series-of-cubes"],
     )
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", help="comma-separated block elements (default: balanced block)")
     p.add_argument("--parts", type=int, default=2, help="block count for series-of-cubes")
 
-    p = sub.add_parser("gen-coverage", parents=[common], help="k-step coverage of a family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--family", required=True, help="hex bitmap, or @path to a hex file")
+    command("gen-coverage", "k-step coverage of a family", k_arg, family_arg)
 
-    p = sub.add_parser("disjointness", parents=[common], help="disjointness graph edge list")
-    p.add_argument("--n", type=int, required=True)
+    p = command("disjointness", "disjointness graph edge list")
     p.add_argument(
         "--family",
         action="append",
@@ -428,21 +398,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--elem", type=int, help="also count edges touching this element")
 
-    p = sub.add_parser("stats", parents=[common], help="stability statistics for two families")
-    p.add_argument("--n", type=int, required=True)
+    p = command("stats", "stability statistics for two families")
     p.add_argument("--family", action="append", required=True, help="give exactly twice")
     p.add_argument("--ell", type=int, required=True, help="scale exponent for the ratios")
     p.add_argument("--elem", type=int, help="pivot element (default: n)")
 
-    p = sub.add_parser("search-min", parents=[common], help="exact minimum maximal-family size")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=[m.value for m in KwiseMode], default="distinct")
+    p = command("search-min", "exact minimum maximal-family size", k_arg, mode_arg)
     p.add_argument("--budget", type=float, default=60.0, help="wall-clock seconds")
 
-    p = sub.add_parser("audit", parents=[common], help="exact counting audit for a cube split")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", required=True, help="hex bitmap, or @path to a hex file")
+    p = command("audit", "exact counting audit for a cube split", family_arg)
     p.add_argument("--s", required=True, help="comma-separated block elements")
     p.add_argument("--eps", required=True, help="rational slack, e.g. 1/8")
 
@@ -460,13 +424,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     args.sidecar_dir = Path(args.out).resolve().parent if args.out else Path.cwd()
     try:
-        if args.command == "report":
-            return _run_report(args)
         params, result = _HANDLERS[args.command](args)
+        _emit_record(args, args.command, params, result)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit_record(args, args.command, params, result)
     return 0
 
 

@@ -76,10 +76,6 @@ class SetFamily:
         return cls(n, bm)
 
     @classmethod
-    def full(cls, n: int) -> "SetFamily":
-        return cls(n, family_full_bitmap(n))
-
-    @classmethod
     def from_hex(cls, n: int, text: str) -> "SetFamily":
         check_ground(n)
         digits = hex_digits(n)
@@ -133,18 +129,6 @@ class SetFamily:
     def with_masks(self, masks: Iterable[int]) -> "SetFamily":
         extra = SetFamily.from_masks(self.n, masks)
         return SetFamily(self.n, self.bitmap | extra.bitmap)
-
-    def union(self, other: "SetFamily") -> "SetFamily":
-        _check_same_ground(self, other)
-        return SetFamily(self.n, self.bitmap | other.bitmap)
-
-    def difference(self, other: "SetFamily") -> "SetFamily":
-        _check_same_ground(self, other)
-        return SetFamily(self.n, self.bitmap & ~other.bitmap)
-
-    def intersection(self, other: "SetFamily") -> "SetFamily":
-        _check_same_ground(self, other)
-        return SetFamily(self.n, self.bitmap & other.bitmap)
 
 
 def hex_digits(n: int) -> int:

@@ -17,6 +17,9 @@ from .bitops import cube_bits, mask_complement
 from .constructions import Partition
 from .core import SetFamily, restrict_plus, _check_same_ground
 
+# without a partition, coordinates whose ratio reaches this form the reference blocks
+STABILITY_THRESHOLD = Fraction(1, 3)
+
 
 @dataclass(frozen=True)
 class DisjointnessGraph:
@@ -108,7 +111,7 @@ class StabilityStats:
     e_elem: int
     theta: Fraction
     phi: Fraction
-    threshold_x: int  # mask of coordinates with x ratio at least the threshold
+    threshold_x: int  # mask of coordinates with x ratio at least STABILITY_THRESHOLD
     threshold_y: int
 
 
@@ -118,7 +121,6 @@ def stability_stats(
     ell: int,
     elem: int,
     partition: Optional[Partition] = None,
-    threshold: Fraction = Fraction(1, 3),
 ) -> StabilityStats:
     """Exact stability ratios for a pair of families.
 
@@ -126,8 +128,8 @@ def stability_stats(
     ratios divide the size of the keep-and-strip restriction by the family
     size.  theta and phi measure how much of each family lies inside the
     down cube of a reference block: the first two blocks of the partition
-    when one is supplied, else the coordinates whose ratio clears the
-    threshold.
+    when one is supplied, else the coordinates whose ratio is at least
+    STABILITY_THRESHOLD (1/3).
     """
     _check_same_ground(x_family, y_family)
     n = x_family.n
@@ -148,12 +150,11 @@ def stability_stats(
         Fraction(len(restrict_plus(y_family, i)), len(y_family))
         for i in range(1, n + 1)
     )
-    threshold = Fraction(threshold)
     threshold_x = sum(
-        1 << (i - 1) for i in range(1, n + 1) if x_ratios[i - 1] >= threshold
+        1 << (i - 1) for i in range(1, n + 1) if x_ratios[i - 1] >= STABILITY_THRESHOLD
     )
     threshold_y = sum(
-        1 << (i - 1) for i in range(1, n + 1) if y_ratios[i - 1] >= threshold
+        1 << (i - 1) for i in range(1, n + 1) if y_ratios[i - 1] >= STABILITY_THRESHOLD
     )
     if partition is not None:
         if partition.n != n or len(partition.blocks) < 2:

@@ -249,6 +249,11 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(tmp_path / "missing.jsonl"))
     assert code == 1
     code, _, err = run(
+        capsys, "check", "--n", "2", "--k", "3", "--family", "9",
+        "--out", str(tmp_path / "missing" / "runs.jsonl"),
+    )
+    assert code == 1 and "error:" in err
+    code, _, err = run(
         capsys, "audit", "--n", "5", "--family", "ff", "--s", "1", "--eps", "1/8"
     )
     assert code == 1
