@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -243,8 +244,10 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
             continue
         try:
             rec = json.loads(line)
-            if not isinstance(rec, dict) or "command" not in rec or "params" not in rec:
+            if not isinstance(rec, dict) or "command" not in rec:
                 raise ValueError("missing required keys")
+            if not all(isinstance(rec.get(key), dict) for key in ("params", "result")):
+                raise ValueError("params and result must be objects")
             records.append(rec)
         except (json.JSONDecodeError, ValueError):
             malformed += 1
@@ -255,10 +258,10 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     for rec in records:
         key = (
             rec.get("command"),
-            json.dumps(rec.get("params"), sort_keys=True),
+            json.dumps(rec["params"], sort_keys=True),
             rec.get("seed"),
         )
-        payload = _stable_payload(rec.get("result") or {})
+        payload = _stable_payload(rec["result"])
         if key in seen and seen[key] != payload:
             raise ValueError(f"ledger integrity violation for {key[0]} with params {key[1]}")
         seen.setdefault(key, payload)
@@ -267,8 +270,7 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     for rec in records:
         if rec.get("command") not in ("search-min", "check"):
             continue
-        params = rec.get("params", {})
-        result = rec.get("result", {})
+        params, result = rec["params"], rec["result"]
         n, k, mode = params.get("n"), params.get("k"), params.get("mode")
         if rec.get("command") == "search-min":
             if not isinstance(n, int) or not isinstance(k, int) or result.get("f") is None:
@@ -354,7 +356,9 @@ def _parent(flag: str, **spec: Any) -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="kwise",
         description="Construct, check, and search maximal k-wise intersecting set families.",

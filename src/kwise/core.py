@@ -424,11 +424,27 @@ def maximal_closure(
     the ascending-scan fixpoint exactly.  The addable set is recomputed only
     when an added member changes the layers that block candidates;
     otherwise it just loses the added mask.
+
+    Once the family has k members, every non-member superset of a member
+    is addable for good and folding it changes no layer (see ReachState),
+    so all of them are added at once: the whole up-closure when the size
+    first reaches k, and the supercube of each member folded after that.
+    From then on every folded mask is a minimal member of the result, so
+    the per-mask loop runs at most k times more than the result has
+    minimal members, and the result is the same as adding those supersets
+    one at a time.  Below k members there is nothing to add in bulk.
     """
     state = _intersecting_state(family, k, mode)
-    bm = family.bitmap
+    n, bm = family.n, family.bitmap
     addable = state.addable(bm)
-    while addable:
+    supersets = up_close_bits(bm, n) & ~bm if state.size >= k else 0
+    while True:
+        if supersets:
+            bm |= supersets
+            addable &= ~supersets
+            state = state._after(state.size + supersets.bit_count(), state.layers)
+        if not addable:
+            return SetFamily(n, bm)
         g = (addable & -addable).bit_length() - 1
         bm |= 1 << g
         grown = state.fold(g)
@@ -437,4 +453,7 @@ def maximal_closure(
         else:
             addable = grown.addable(bm)
         state = grown
-    return SetFamily(family.n, bm)
+        if state.size == k:
+            supersets = up_close_bits(bm, n) & ~bm
+        elif state.size > k:
+            supersets = supercube_bits(g, n) & ~bm

@@ -12,12 +12,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .bitops import cube_bits, family_full_bitmap, mask_complement
+from .bitops import (
+    _clear_bit_pattern,
+    cube_bits,
+    down_close_bits,
+    family_full_bitmap,
+    iter_bits,
+    mask_complement,
+)
 from .core import (
     KwiseMode,
     SetFamily,
     complement_family,
     complement_within_powerset,
+    is_down_closed,
     is_maximal_k_wise,
     _check_k,
 )
@@ -33,6 +41,14 @@ class CoverageResult:
         return Fraction(self.count, 1 << self.covered.n)
 
 
+def _maximal_members(bm: int, n: int) -> int:
+    """Members of a down-closed family bitmap with no member one element larger."""
+    larger = 0
+    for i in range(n):
+        larger |= (bm >> (1 << i)) & _clear_bit_pattern(n, i)
+    return bm & ~larger
+
+
 def coverage(family: SetFamily, k: int) -> CoverageResult:
     """Masks expressible as a union of at most k pairwise disjoint members.
 
@@ -44,18 +60,29 @@ def coverage(family: SetFamily, k: int) -> CoverageResult:
     cubes are rebuilt per level rather than stored, keeping memory flat
     for large grounds.  Levels stop early once coverage reaches a
     fixpoint or the whole lattice.
+
+    A down-closed family (such as the member complements of an up-closed
+    one) has down-closed levels, and extends each level through its
+    maximal members only, down-closing the result: u | g with g inside a
+    maximal member h lies inside (u - h) | h, whose parts are disjoint and
+    covered.  The levels are the same; only the one down-closure check is
+    added for other families.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     n = family.n
     full = family_full_bitmap(n)
     covered = family.bitmap
+    down_closed = is_down_closed(family)
+    extenders = _maximal_members(covered, n) if down_closed else covered
     for _ in range(k - 1):
         if covered == full:
             break
         extended = covered
-        for g in family.members():
+        for g in iter_bits(extenders):
             extended |= (covered & cube_bits(mask_complement(g, n))) << g
+        if down_closed:
+            extended = down_close_bits(extended, n)
         if extended == covered:
             break
         covered = extended

@@ -17,6 +17,7 @@ from kwise import (
     pair_of_cubes,
     pair_of_cubes_size,
 )
+from kwise import cli
 from kwise.cli import main
 
 
@@ -179,6 +180,20 @@ def test_disjointness_records(capsys):
     )
     assert rec["result"]["bipartite"] is True
     assert rec["result"]["edge_count"] == 9
+
+
+def test_successive_calls_share_no_state(capsys):
+    # one argparse tree serves every call in a process; nothing one call
+    # parses may reach the next
+    first = run_record(
+        capsys, "disjointness", "--n", "3", "--family", "0f", "--family", "f0",
+        "--elem", "2", "--seed", "5", "--no-timestamp",
+    )
+    second = run_record(capsys, "disjointness", "--n", "3", "--family", "7e")
+    assert first["params"] == {"n": 3, "family": ["0f", "f0"], "elem": 2}
+    assert second["params"] == {"n": 3, "family": ["7e"]}
+    assert second["seed"] == 0 and "timestamp" in second
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_stats_record(capsys):
@@ -350,6 +365,23 @@ def test_report_integrity_violation(tmp_path, capsys):
     assert out == ""
     assert not (tmp_path / "bad_f_table.csv").exists()
     assert not (tmp_path / "bad_linked_cubes_maximality.csv").exists()
+
+
+def test_report_skips_non_object_params_or_result(tmp_path, capsys):
+    ledger = tmp_path / "odd.jsonl"
+    records = [
+        {"command": "search-min", "params": {"n": 3, "k": 3}, "result": None},
+        {"command": "check", "params": [], "result": {"size": 3}},
+        {"command": "search-min", "params": {"n": 3, "k": 3, "mode": "distinct"},
+         "result": {"f": 2}},
+    ]
+    ledger.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 0, err
+    assert "skipped 2 malformed" in err
+    rec = json.loads(out)
+    assert rec["result"]["skipped_lines"] == 2
+    assert rec["result"]["f_rows"] == 1
 
 
 def test_report_ignores_volatile_divergence(tmp_path, capsys):

@@ -253,6 +253,17 @@ def test_addable_sets_match_naive(fam, k):
         assert got == want
 
 
+def naive_extends(members, g, k, mode):
+    """Whether a k-wise family stays k-wise with g added: only the
+    collections through g can fail."""
+    sizes = [k] if mode is DISTINCT else range(2, k + 1)
+    return all(
+        reduce(and_, c, g) != 0
+        for j in sizes
+        for c in itertools.combinations(members, j - 1)
+    )
+
+
 def naive_ascending_closure(fam, k, mode):
     members = fam.member_list()
     changed = True
@@ -261,7 +272,7 @@ def naive_ascending_closure(fam, k, mode):
         for g in range(1 << fam.n):
             if g in members:
                 continue
-            if naive_kwise(sorted(set(members) | {g}), k, mode):
+            if naive_extends(members, g, k, mode):
                 members = sorted(set(members) | {g})
                 changed = True
     return SetFamily.from_masks(fam.n, members)
@@ -296,6 +307,66 @@ def test_maximal_closure_matches_ascending_scan_n4_n5(seed):
             start = ReachState.of(fam, k, mode).relevant()
             changed += closed != fam and ReachState.of(closed, k, mode).relevant() != start
     assert changed
+
+
+def spy_folds(monkeypatch):
+    """Record (size before, mask, blocking layers changed) for every fold."""
+    folds = []
+    fold = ReachState.fold
+
+    def spy(state, g):
+        grown = fold(state, g)
+        folds.append((state.size, g, grown.relevant() != state.relevant()))
+        return grown
+
+    monkeypatch.setattr(ReachState, "fold", spy)
+    return folds
+
+
+def check_fold_bookkeeping(fam, k, folds):
+    """Below k members each fold sees exactly the members so far; from k on
+    it sees their whole up-closure, and folds a mask outside it."""
+    folded = fam.member_list()
+    for size, g, _ in folds:
+        members = set(folded)
+        if len(members) >= k:
+            members = {m for m in range(1 << fam.n) if any(a & m == a for a in folded)}
+        assert size == len(members)
+        assert g not in members
+        folded.append(g)
+
+
+def test_maximal_closure_matches_ascending_scan_n6(monkeypatch):
+    # some seeds change the blocking layer after k members are in, so bulk
+    # superset adds and addable recomputes interleave
+    folds = spy_folds(monkeypatch)
+    interleaved = 0
+    for seed, k in itertools.product(range(16), (2, 3, 4)):
+        rng = random.Random(seed)
+        fam = SetFamily.from_masks(6, rng.sample(range(64), rng.randint(1, 5)))
+        for mode in (DISTINCT, REPETITION):
+            if not naive_kwise(fam.member_list(), k, mode):
+                continue
+            folds.clear()
+            closed = maximal_closure(fam, k, mode)
+            assert closed == naive_ascending_closure(fam, k, mode)
+            check_fold_bookkeeping(fam, k, folds)
+            interleaved += any(size >= k and changed for size, _, changed in folds)
+    assert interleaved
+
+
+@pytest.mark.parametrize("mode", [DISTINCT, REPETITION])
+@pytest.mark.parametrize("extra", [[], [0b1011 << 8]])
+def test_star_seed_closure_n16(mode, extra, monkeypatch):
+    # two members meeting only in element 9: every maximal 3-wise family
+    # containing them is the star of 9, reached by folding {9} alone
+    n, a = 16, 1 << 8
+    seed = SetFamily.from_masks(n, [a | 0b1111, a | 0b1111 << 9] + extra)
+    folds = spy_folds(monkeypatch)
+    closed = maximal_closure(seed, 3, mode)
+    assert closed == SetFamily.from_masks(n, [m for m in range(1 << n) if m & a])
+    assert [g for _, g, _ in folds] == [a]
+    check_fold_bookkeeping(seed, 3, folds)
 
 
 def test_maximal_closure_example():

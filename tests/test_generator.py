@@ -14,6 +14,7 @@ from kwise import (
     Partition,
     SetFamily,
     coverage,
+    down_closure,
     enumerate_maximal_families,
     is_generator,
     linked_cubes,
@@ -55,6 +56,21 @@ def test_coverage_level_one_is_members():
 @given(families(), st.integers(min_value=1, max_value=4))
 @settings(deadline=None, max_examples=60)
 def test_coverage_matches_naive(fam, k):
+    got = set(coverage(fam, k).covered)
+    assert got == naive_coverage(fam.member_list(), k)
+
+
+@st.composite
+def down_closed_families(draw, max_n=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=4))
+    return down_closure(SetFamily.from_masks(n, masks))
+
+
+@given(down_closed_families(), st.integers(min_value=1, max_value=4))
+@settings(deadline=None, max_examples=60)
+def test_coverage_matches_naive_on_down_closed(fam, k):
+    # down-closed families extend through their maximal members only
     got = set(coverage(fam, k).covered)
     assert got == naive_coverage(fam.member_list(), k)
 
