@@ -1,6 +1,7 @@
 """Canonicalization, exhaustive enumeration, minimum search, count audits."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -251,6 +252,56 @@ def test_branch_and_bound_finds_upclosed_minima():
                 {canonical_form(SetFamily(n, bm)).bitmap for bm in eng.found}
             )
         assert canon_sets[0] == canon_sets[1]
+
+
+def _engine(n, k, mode, symmetry=True):
+    return _BranchAndBound(n, k, mode, time.monotonic() + 120, True, symmetry)
+
+
+@pytest.mark.parametrize(
+    "n,k,mode,nodes,best,found",
+    [
+        (3, 3, DISTINCT, 41, 4, [240]),
+        (4, 3, DISTINCT, 208, 5, [59520]),
+        (4, 4, DISTINCT, 209, 8, [65280]),
+        (5, 3, DISTINCT, 2215, 9, [3936911360]),
+        (5, 4, DISTINCT, 1849, 6, [3900735488]),
+        (4, 3, REPETITION, 208, 5, [59520]),
+        (6, 3, DISTINCT, 104435, 13, [17908810211133489152]),
+    ],
+)
+def test_branch_and_bound_pinned_counts(n, k, mode, nodes, best, found):
+    """Node counts and labeled leaves with no incumbent and symmetry on: a
+    change to pruning or to the symmetry check shows up here first."""
+    eng = _engine(n, k, mode)
+    assert eng.run()
+    assert (eng.nodes, eng.best, sorted(eng.found)) == (nodes, best, found)
+
+
+def brute_region_minimal(bm, j):
+    """No relabeling of the first j coordinates is smaller stage by stage,
+    comparing the masks below 4, then below 8, ..., then below 2^j."""
+    fam = SetFamily(j, bm)
+    stages = [(1 << (1 << i)) - 1 for i in range(1, j + 1)]
+    base = [bm & s for s in stages]
+    return all(
+        [relabel(fam, perm).bitmap & s for s in stages] >= base
+        for perm in itertools.permutations(range(j))
+    )
+
+
+def test_region_minimal_matches_brute_force():
+    rng = random.Random(7)
+    cases = [(j, bm) for j in (2, 3, 4) for bm in enumerate_upsets(j)]
+    for _ in range(60):
+        masks = rng.sample(range(1, 32), rng.randint(1, 5))
+        cases.append((5, up_close_bits(sum(1 << m for m in masks), 5)))
+    verdicts = set()
+    for j, bm in cases:
+        want = brute_region_minimal(bm, j)
+        assert _engine(j, 3, DISTINCT)._region_minimal(bm, j) == want, (j, bm)
+        verdicts.add((j, want))
+    assert verdicts == {(j, v) for j in (2, 3, 4, 5) for v in (True, False)}
 
 
 # ------------------------------------------------ split defect audit
