@@ -83,6 +83,15 @@ def reverse_index_bits(bm: int, n: int) -> int:
     return bm
 
 
+def _swap_index_bits(bm: int, a: int, b: int, n: int) -> int:
+    """Remap every index m to m with its bits a < b exchanged."""
+    shift = (1 << b) - (1 << a)
+    # indices with bit a set and bit b clear trade places with those shift above
+    pat = _clear_bit_pattern(n, b) & ~_clear_bit_pattern(n, a)
+    moved = (bm ^ (bm >> shift)) & pat
+    return bm ^ moved ^ (moved << shift)
+
+
 def project_intersect_bits(bm: int, keep: int, n: int) -> int:
     """Image of an index set under m -> m & keep."""
     for i in range(n):

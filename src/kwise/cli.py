@@ -42,7 +42,7 @@ from .constructions import (
 from .core import KwiseMode, ReachState, SetFamily, maximal_closure
 from .disjointness import build_bipartite, build_graph, count_edges_touching, stability_stats
 from .generator import coverage
-from .search import SearchConfig, audit_claim_counts, search_min
+from .search import MAX_SEARCH_GROUND, SearchConfig, audit_claim_counts, search_min
 
 SCHEMA_VERSION = 1
 INLINE_FAMILY_BITS = 1 << 20
@@ -215,8 +215,7 @@ def _cmd_search_min(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
 def _cmd_audit(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     fam = _parse_family(args.n, args.family)
     s = _parse_elements(args.n, args.s)
-    eps = Fraction(args.eps)
-    report = audit_claim_counts(fam, s, eps)
+    report = audit_claim_counts(fam, s, args.eps)
     params = {"n": args.n, "family": args.family, "s": mask_elements(s), "eps": args.eps}
     return params, _fields(report, params)
 
@@ -273,7 +272,9 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         params, result = rec["params"], rec["result"]
         n, k, mode = params.get("n"), params.get("k"), params.get("mode")
         if rec.get("command") == "search-min":
-            if not isinstance(n, int) or not isinstance(k, int) or result.get("f") is None:
+            # only an n and k that search-min itself could have written
+            written = type(n) is int and 1 <= n <= MAX_SEARCH_GROUND and type(k) is int and k >= 2
+            if not written or result.get("f") is None:
                 continue
             balanced = linked_cubes_size(n, n // 2) if n >= 2 else ""
             try:

@@ -8,6 +8,7 @@ fits in one explicit 2^n-bit membership bitmap.
 
 from __future__ import annotations
 
+import binascii
 import enum
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -84,7 +85,11 @@ class SetFamily:
             raise ValueError(
                 f"hex family for n={n} must have exactly {digits} hex digit(s), got {len(text)}"
             )
-        return cls(n, int(text, 16))
+        try:  # unhexlify reads digit pairs and nothing else: no sign, 0x or _
+            raw = binascii.unhexlify("0" * (digits % 2) + text)
+        except ValueError:
+            raise ValueError(f"hex family for n={n} may hold only the digits 0-9a-f") from None
+        return cls(n, int.from_bytes(raw, "big"))
 
     def to_hex(self) -> str:
         return format(self.bitmap, f"0{hex_digits(self.n)}x")

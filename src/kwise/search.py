@@ -21,10 +21,11 @@ import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .bitops import (
+    _swap_index_bits,
     check_ground,
     cube_bits,
     family_full_bitmap,
@@ -63,24 +64,36 @@ def canonical_form(family: SetFamily) -> SetFamily:
     return SetFamily(n, _least_relabeling(n, family.bitmap, set()))
 
 
+def _relabelings(bitmap: int, j: int, n: int) -> Iterator[int]:
+    """The j! relabelings of a family bitmap under permutations of coordinates 0..j-1.
+
+    In Heap's order ("Permutations by interchanges", 1963) each one is the
+    one before with two coordinates swapped: one pass over the bitmap.
+    """
+    yield bitmap
+    c = [0] * j
+    i = 1
+    while i < j:
+        if c[i] < i:
+            bitmap = _swap_index_bits(bitmap, c[i] if i & 1 else 0, i, n)
+            yield bitmap
+            c[i] += 1
+            i = 1
+        else:
+            c[i] = 0
+            i += 1
+
+
 def _least_relabeling(n: int, bitmap: int, pending: Set[int]) -> int:
     """Least bitmap among the n! relabelings of a family bitmap.
 
     Every relabeling the scan meets is also discarded from pending, so a
     caller holding many labeled copies of a few classes scans each class
-    once.  Permuting powers of two over each member's precomputed bit
-    indices relabels a member with one OR per element.
+    once.  Each relabeling costs one bitmap swap, whatever the members.
     """
-    members = [tuple(iter_bits(m)) for m in iter_bits(bitmap)]
     discard = pending.discard
     best = bitmap
-    for perm in itertools.permutations([1 << i for i in range(n)]):
-        bm = 0
-        for bits in members:
-            relabeled = 0
-            for i in bits:
-                relabeled |= perm[i]
-            bm |= 1 << relabeled
+    for bm in _relabelings(bitmap, n, n):
         if bm < best:
             best = bm
         discard(bm)
@@ -161,7 +174,6 @@ class SearchConfig:
     mode: KwiseMode = KwiseMode.DISTINCT
     budget: float = 60.0
     symmetry: bool = True
-    enumerate_all: bool = True
 
     def __post_init__(self):
         check_ground(self.n)
@@ -204,24 +216,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@lru_cache(maxsize=None)
-def _stabilizer_tables(j: int) -> Tuple[Tuple[int, ...], ...]:
-    """Mask-relabeling tables for every permutation of the first j coordinates."""
-    tables = []
-    for perm in itertools.permutations(range(j)):
-        table = [0] * (1 << j)
-        for m in range(1, 1 << j):
-            low = m & -m
-            table[m] = table[m ^ low] | (1 << perm[low.bit_length() - 1])
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-@lru_cache(maxsize=None)
-def _stage_masks(j: int) -> Tuple[int, ...]:
-    return tuple((1 << (1 << i)) - 1 for i in range(1, j + 1))
-
-
 class _BranchAndBound:
     """Depth-first search over upward-closed families in ascending mask order.
 
@@ -230,9 +224,11 @@ class _BranchAndBound:
     mask that has an already-chosen subset.  Pruning: partial families
     whose members already intersect to the empty set somewhere in the
     first k layers, partial families too large to beat the incumbent, and
-    (optionally) partial assignments that are not the least relabeling of
-    their orbit whenever the decided region is a full power-of-two block.
-    Leaves with at least k members get a full maximality check.
+    (optionally) partial assignments that a relabeling of the first j
+    coordinates beats stage by stage (masks below 4, then below 8, ...,
+    then below 2^j) once every mask below 2^j is decided; the relabelings
+    come from the same swap scan as the canonical form.  Leaves with at
+    least k members get a full maximality check.
     """
 
     def __init__(
@@ -241,7 +237,6 @@ class _BranchAndBound:
         k: int,
         mode: KwiseMode,
         deadline: float,
-        enumerate_all: bool,
         symmetry: bool,
         best: Optional[int] = None,
         found: Optional[List[int]] = None,
@@ -250,7 +245,6 @@ class _BranchAndBound:
         self.k = k
         self.mode = mode
         self.deadline = deadline
-        self.enumerate_all = enumerate_all
         self.symmetry = symmetry
         self.count = 1 << n
         self.checkpoints: Dict[int, int] = {1 << j: j for j in range(2, n + 1)}
@@ -268,10 +262,8 @@ class _BranchAndBound:
     def _too_big(self, size: int) -> bool:
         if self.best is None or size < self.best:
             return False
-        if size > self.best:
-            return True
         # ties matter only when the incumbent size is itself reachable here
-        return (not self.enumerate_all) or self.best < self.k
+        return size > self.best or self.best < self.k
 
     def _branch(self, d: int, in_bm: int, forced_bm: int, state: ReachState) -> None:
         self.nodes += 1
@@ -303,20 +295,14 @@ class _BranchAndBound:
         if self.best is None or size < self.best:
             self.best = size
             self.found = [in_bm]
-        elif size == self.best and self.enumerate_all:
+        elif size == self.best:
             self.found.append(in_bm)
 
     def _region_minimal(self, in_bm: int, j: int) -> bool:
-        stages = _stage_masks(j)
-        base = tuple(in_bm & sm for sm in stages)
-        members = list(iter_bits(in_bm))
-        for table in _stabilizer_tables(j):
-            bm = 0
-            for m in members:
-                bm |= 1 << table[m]
-            if bm != in_bm and tuple(bm & sm for sm in stages) < base:
-                return False
-        return True
+        """Whether no relabeling of in_bm's first j coordinates is smaller stage by stage."""
+        stages = [(1 << (1 << i)) - 1 for i in range(1, j + 1)]
+        base = [in_bm & sm for sm in stages]
+        return all([bm & sm for sm in stages] >= base for bm in _relabelings(in_bm, j, j))
 
 
 def search_min(config: SearchConfig) -> SearchReport:
@@ -343,22 +329,16 @@ def search_min(config: SearchConfig) -> SearchReport:
             nodes += 1
             if nodes & 255 == 0 and time.monotonic() > deadline:
                 raise _BudgetExceeded
-            if fam is None:
-                continue
-            if best is None:
+            if fam is not None:
                 best = size
-            elif not config.enumerate_all:
-                break
-            found.append(fam.bitmap)
+                found.append(fam.bitmap)
         if best is None:
             proven_floor = min(k, count + 1)
     except _BudgetExceeded:
         interrupted = True
 
     if not interrupted:
-        engine = _BranchAndBound(
-            n, k, mode, deadline, config.enumerate_all, config.symmetry, best, found
-        )
+        engine = _BranchAndBound(n, k, mode, deadline, config.symmetry, best, found)
         completed = engine.run()
         nodes += engine.nodes
         best = engine.best
@@ -609,7 +589,10 @@ def audit_claim_counts(family: SetFamily, s: int, eps) -> ClaimCountsReport:
         raise ValueError("audit requires an odd ground size")
     if s <= 0 or s >= full_mask(n):
         raise ValueError("split block must be a proper nonempty subset")
-    eps = Fraction(eps)
+    try:
+        eps = Fraction(eps)
+    except ZeroDivisionError:
+        raise ValueError(f"eps has a zero denominator: {eps!r}") from None
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if not is_k_wise_intersecting(family, 3, KwiseMode.DISTINCT) or not is_maximal_k_wise(

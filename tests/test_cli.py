@@ -272,6 +272,16 @@ def test_exit_codes(tmp_path, capsys):
         capsys, "audit", "--n", "5", "--family", "ff", "--s", "1", "--eps", "1/8"
     )
     assert code == 1
+    fam = linked_cubes(5, balanced_block(5)).to_hex()
+    ledger = tmp_path / "runs.jsonl"
+    code, out, err = run(
+        capsys, "audit", "--n", "5", "--family", fam, "--s", "1,2", "--eps", "1/0",
+        "--out", str(ledger),
+    )
+    assert code == 1 and "error:" in err and "eps" in err
+    assert out == "" and not ledger.exists()
+    code, out, err = run(capsys, "check", "--n", "4", "--k", "3", "--family", "0x0f")
+    assert code == 1 and "0-9a-f" in err and out == ""
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf"])
@@ -382,6 +392,25 @@ def test_report_skips_non_object_params_or_result(tmp_path, capsys):
     rec = json.loads(out)
     assert rec["result"]["skipped_lines"] == 2
     assert rec["result"]["f_rows"] == 1
+
+
+def test_report_skips_search_records_out_of_range(tmp_path, capsys):
+    """Records with an n or k that search-min could not have written are
+    left out of the f table; a huge n neither aborts nor allocates."""
+    ledger = tmp_path / "forged.jsonl"
+    bad = [(30000, 3), (-5, 3), (0, 3), (8, 3), (True, 3), (5, 1), (5, "3"), (5, 2.0)]
+    records = [
+        {"command": "search-min", "params": {"n": n, "k": k, "mode": "distinct"},
+         "result": {"f": 2}}
+        for n, k in bad + [(5, 3)]
+    ]
+    ledger.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 0, err
+    assert json.loads(out)["result"]["f_rows"] == 1
+    with (tmp_path / "forged_f_table.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [["5", "3", "distinct", "2", "9", "", ""]]
 
 
 def test_report_ignores_volatile_divergence(tmp_path, capsys):

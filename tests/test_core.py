@@ -87,6 +87,22 @@ def test_hex_roundtrip_and_validation():
         SetFamily.from_hex(2, "g")
 
 
+@pytest.mark.parametrize("text", ["0x0f", "+00f", "0_0f", "\u0660\u0660\u0660f"])
+def test_hex_rejects_non_hex_digits(text):
+    """Only 0-9a-f: what int(text, 16) would also take (a sign, a 0x prefix,
+    underscores, other scripts' digits) is rejected at the right length."""
+    assert len(text) == 4
+    with pytest.raises(ValueError, match="0-9a-f"):
+        SetFamily.from_hex(4, text)
+
+
+def test_hex_accepts_case_and_surrounding_space():
+    assert SetFamily.from_hex(4, " 00FF\n") == SetFamily(4, 0xFF)
+    assert SetFamily.from_hex(1, "3") == SetFamily(1, 3)
+    with pytest.raises(ValueError):
+        SetFamily.from_hex(1, "4")
+
+
 def test_membership_and_sizes():
     fam = SetFamily.from_masks(3, [0, 5])
     assert len(fam) == 2

@@ -33,7 +33,7 @@ from kwise import (
     supercube_bits,
     up_close_bits,
 )
-from kwise.search import _BranchAndBound, _below_k_scan, _naive_is_maximal
+from kwise.search import _BranchAndBound, _below_k_scan, _naive_is_maximal, _relabelings
 
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
@@ -94,6 +94,22 @@ def test_canonical_form_is_least_relabeling(case):
     n, bm = case
     fam = SetFamily(n, bm)
     assert canonical_form(fam) == brute_canonical(fam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_relabelings_are_the_permuted_copies(n):
+    """Swap by swap, the scan yields each relabeling of the first j
+    coordinates once per permutation, for random, empty and full families."""
+    rng = random.Random(n)
+    full = (1 << (1 << n)) - 1
+    for j in range(1, n + 1):
+        for bm in [0, full] + [rng.getrandbits(1 << n) for _ in range(6)]:
+            fam = SetFamily(n, bm)
+            want = sorted(
+                relabel(fam, perm + tuple(range(j, n))).bitmap
+                for perm in itertools.permutations(range(j))
+            )
+            assert sorted(_relabelings(bm, j, n)) == want
 
 
 def test_canonical_form_cap():
@@ -197,12 +213,6 @@ def test_search_symmetry_toggle_agrees():
         assert on.witnesses == off.witnesses
 
 
-def test_search_first_hit_mode():
-    report = search_min(SearchConfig(n=4, k=3, enumerate_all=False))
-    assert report.f_value == 2
-    assert len(report.witnesses) == 1
-
-
 def test_search_budget_interruption():
     report = search_min(SearchConfig(n=7, k=3, budget=1e-9))
     assert not report.optimal
@@ -238,9 +248,7 @@ def test_branch_and_bound_finds_upclosed_minima():
         assert ref == want
         canon_sets = []
         for symmetry in (True, False):
-            eng = _BranchAndBound(
-                n, k, DISTINCT, time.monotonic() + 120, True, symmetry
-            )
+            eng = _BranchAndBound(n, k, DISTINCT, time.monotonic() + 120, symmetry)
             assert eng.run()
             assert eng.best == want
             for bm in eng.found:
@@ -255,7 +263,7 @@ def test_branch_and_bound_finds_upclosed_minima():
 
 
 def _engine(n, k, mode, symmetry=True):
-    return _BranchAndBound(n, k, mode, time.monotonic() + 120, True, symmetry)
+    return _BranchAndBound(n, k, mode, time.monotonic() + 120, symmetry)
 
 
 @pytest.mark.parametrize(
