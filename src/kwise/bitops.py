@@ -37,7 +37,7 @@ def mask_elements(mask: int) -> List[int]:
 
 
 def check_ground(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_FAMILY_GROUND:
+    if type(n) is not int or not 1 <= n <= MAX_FAMILY_GROUND:
         raise ValueError(f"ground size must be an int in 1..{MAX_FAMILY_GROUND}, got {n!r}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import binascii
 import enum
+from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from . import bitops
@@ -149,6 +150,14 @@ def _check_same_ground(a: SetFamily, b: SetFamily) -> None:
 def _check_k(k: int) -> None:
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an int >= 2, got {k!r}")
+
+
+def _exact_eps(eps) -> Fraction:
+    """eps as a Fraction; ValueError for a zero denominator or an infinity."""
+    try:
+        return Fraction(eps)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"eps must be finite with a nonzero denominator: {eps!r}") from None
 
 
 def complement_family(family: SetFamily) -> SetFamily:
@@ -311,7 +320,9 @@ class ReachState:
         self.k = k
         self.mode = mode
         self.size = 0
-        self.layers: Tuple = ((),) * k  # layers[j - 1] is R_j
+        # layers[j - 1] is R_j, empty past j = 2^n; keeping one empty layer
+        # more means a family has len(layers) members only when it has k
+        self.layers: Tuple = ((),) * min(k, (1 << n) + 1)
 
     def _after(self, size: int, layers: Tuple) -> "ReachState":
         state = object.__new__(ReachState)

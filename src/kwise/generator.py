@@ -28,6 +28,7 @@ from .core import (
     is_down_closed,
     is_maximal_k_wise,
     _check_k,
+    _exact_eps,
 )
 
 
@@ -91,7 +92,7 @@ def coverage(family: SetFamily, k: int) -> CoverageResult:
 
 def is_generator(family: SetFamily, k: int, eps: Fraction) -> bool:
     """Whether at most an eps fraction of all masks is left uncovered."""
-    eps = Fraction(eps)
+    eps = _exact_eps(eps)
     if eps < 0 or eps > 1:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     total = 1 << family.n

@@ -39,9 +39,8 @@ from .core import (
     KwiseMode,
     ReachState,
     SetFamily,
+    _exact_eps,
     complement_family,
-    is_k_wise_intersecting,
-    is_maximal_k_wise,
     symmetric_difference_count,
 )
 
@@ -122,48 +121,50 @@ def enumerate_upsets(n: int) -> List[int]:
     return ups
 
 
-def _below_k_scan(
+def _first_below_k_size(n: int, k: int, mode: KwiseMode) -> int:
+    # DISTINCT: any non-member joins a smaller family, which stays under k
+    return min(k - 1, 1 << n) if mode is KwiseMode.DISTINCT else 1
+
+
+def _below_k_maximal(
     n: int, k: int, mode: KwiseMode
 ) -> Iterator[Tuple[int, Optional[SetFamily]]]:
-    """Every family of fewer than k members, by size then combination order.
+    """Families of fewer than k members from the smallest size that can be
+    maximal, each with the family if it is maximal and None if not.
 
-    Yields (size, family) when the family is maximal k-wise intersecting
-    and (size, None) otherwise, so a caller can count and stop per family.
-    Each size's combinations are walked depth first in lexicographic
-    order, so combinations sharing a prefix share its folded state.
+    A new member m makes at most k members, so only m with all of them can
+    fail: m is blocked exactly when it misses I, the common intersection.
+    The family is maximal when every non-member misses I and it passes
+    itself: always in DISTINCT mode, with repetition at one member or I != 0.
     """
     count = 1 << n
-
-    def leaves(state: ReachState, bm: int, start: int, depth: int):
-        for g in range(start, count - depth + 1):
-            child = state.fold(g)
-            if depth > 1:
-                yield from leaves(child, bm | 1 << g, g + 1, depth - 1)
-            else:
-                yield child, bm | 1 << g
-
-    empty = ReachState(n, k, mode)
-    for size in range(1, min(k, count + 1)):
-        for state, bm in leaves(empty, 0, 0, size):
-            maximal = state.intersecting() and state.addable(bm) == 0
+    top = full_mask(n)
+    full = family_full_bitmap(n)
+    distinct = mode is KwiseMode.DISTINCT
+    for size in range(_first_below_k_size(n, k, mode), min(k, count + 1)):
+        for combo in itertools.combinations(range(count), size):
+            common = reduce(operator.and_, combo)
+            bm = sum(1 << m for m in combo)
+            maximal = (distinct or size == 1 or common) and bm | cube_bits(top ^ common) == full
             yield size, (SetFamily(n, bm) if maximal else None)
 
 
 def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamily]:
     """Every maximal k-wise intersecting family on n elements, n small.
 
-    Families with fewer than k members are scanned directly; the rest are
-    upward closed, so filtering the up-set listing completes the search.
+    Families with fewer than k members follow from their common
+    intersection; the rest are upward closed, so filtering the up-set
+    listing completes the search.
     """
     if n > MAX_UPSET_GROUND:
         raise ValueError(f"exhaustive enumeration capped at n={MAX_UPSET_GROUND}, got {n}")
-    results = [fam for _, fam in _below_k_scan(n, k, mode) if fam is not None]
+    results = [fam for _, fam in _below_k_maximal(n, k, mode) if fam is not None]
     for bm in enumerate_upsets(n):
         if bm.bit_count() < k:
             continue
-        fam = SetFamily(n, bm)
-        if is_k_wise_intersecting(fam, k, mode) and is_maximal_k_wise(fam, k, mode):
-            results.append(fam)
+        state = ReachState.of(SetFamily(n, bm), k, mode)
+        if state.intersecting() and state.addable(bm) == 0:
+            results.append(SetFamily(n, bm))
     return results
 
 
@@ -308,50 +309,38 @@ class _BranchAndBound:
 def search_min(config: SearchConfig) -> SearchReport:
     """Exact minimum size of a maximal k-wise intersecting family, with witnesses.
 
-    Runs the direct scan below the distinctness threshold, then the
-    branch-and-bound stage, and reports canonical witnesses.  A run cut
-    short by the budget is flagged non-optimal and carries honest bounds.
+    Decides the families below the distinctness threshold by their common
+    intersection, then runs the branch-and-bound stage, and reports
+    canonical witnesses.  A run cut short by the budget is flagged
+    non-optimal and carries honest bounds.
     """
     start = time.monotonic()
     deadline = start + config.budget
     n, k, mode = config.n, config.k, config.mode
-    count = 1 << n
-    nodes = 0
+    floor = _first_below_k_size(n, k, mode)
+    # every combination of fewer members counts as a node, as if scanned
+    nodes = sum(math.comb(1 << n, size) for size in range(1, floor))
     best: Optional[int] = None
     found: List[int] = []
     interrupted = False
-    proven_floor = 1
     try:
-        for size, fam in _below_k_scan(n, k, mode):
+        for size, fam in _below_k_maximal(n, k, mode):
             if best is not None and size > best:
                 break
-            proven_floor = size
             nodes += 1
             if nodes & 255 == 0 and time.monotonic() > deadline:
                 raise _BudgetExceeded
             if fam is not None:
                 best = size
                 found.append(fam.bitmap)
-        if best is None:
-            proven_floor = min(k, count + 1)
     except _BudgetExceeded:
         interrupted = True
 
     if not interrupted:
         engine = _BranchAndBound(n, k, mode, deadline, config.symmetry, best, found)
-        completed = engine.run()
+        interrupted = not engine.run()
         nodes += engine.nodes
-        best = engine.best
-        found = engine.found
-        if not completed:
-            interrupted = True
-
-    if best is None:
-        lower_bound = proven_floor
-    elif interrupted:
-        lower_bound = min(proven_floor, best)
-    else:
-        lower_bound = best
+        best, found = engine.best, engine.found
 
     # each scan discards its whole class from pending: one scan per class
     pending = set(found)
@@ -371,7 +360,9 @@ def search_min(config: SearchConfig) -> SearchReport:
         nodes_explored=nodes,
         elapsed=time.monotonic() - start,
         optimal=not interrupted,
-        lower_bound=lower_bound,
+        # no smaller size holds a maximal family, and the first family at
+        # the floor contains the empty set, so it is maximal
+        lower_bound=floor,
     )
 
 
@@ -589,15 +580,11 @@ def audit_claim_counts(family: SetFamily, s: int, eps) -> ClaimCountsReport:
         raise ValueError("audit requires an odd ground size")
     if s <= 0 or s >= full_mask(n):
         raise ValueError("split block must be a proper nonempty subset")
-    try:
-        eps = Fraction(eps)
-    except ZeroDivisionError:
-        raise ValueError(f"eps has a zero denominator: {eps!r}") from None
+    eps = _exact_eps(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if not is_k_wise_intersecting(family, 3, KwiseMode.DISTINCT) or not is_maximal_k_wise(
-        family, 3, KwiseMode.DISTINCT
-    ):
+    state = ReachState.of(family, 3)
+    if not state.intersecting() or state.addable(family.bitmap):
         raise ValueError("family must be maximal 3-wise intersecting")
     ell = (n - 1) // 2
     g = complement_family(family)

@@ -154,6 +154,28 @@ def test_search_min_record(capsys):
     assert "seconds" in timed["result"]
 
 
+def test_k_beyond_the_ground_answers_as_k_equal_to_9(capsys):
+    """No collection on n = 3 has more than 8 distinct members, so k = 10^9
+    gives the payloads of k = 9, without a reach layer per unit of k."""
+    for mode in ("distinct", "repetition"):
+        for family in ("ff", "fe", "f0", "01"):
+            results = [
+                run_record(
+                    capsys, "check", "--n", "3", "--k", k, "--mode", mode,
+                    "--family", family, "--no-timestamp",
+                )["result"]
+                for k in ("9", "1000000000")
+            ]
+            assert results[0] == results[1]
+        results = [
+            run_record(
+                capsys, "search-min", "--n", "3", "--k", k, "--mode", mode, "--no-timestamp"
+            )["result"]
+            for k in ("9", "1000000000")
+        ]
+        assert results[0] == results[1]
+
+
 def test_gen_coverage_record(capsys):
     fam = pair_of_cubes(4, 0b0011).to_hex()
     rec = run_record(

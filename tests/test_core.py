@@ -103,6 +103,15 @@ def test_hex_accepts_case_and_surrounding_space():
         SetFamily.from_hex(1, "4")
 
 
+@pytest.mark.parametrize("n", [True, False])
+def test_ground_size_rejects_bool(n):
+    """bool is an int subclass, but no ground size."""
+    with pytest.raises(ValueError):
+        SetFamily(n, 1)
+    with pytest.raises(ValueError):
+        SetFamily.from_masks(n, [0])
+
+
 def test_membership_and_sizes():
     fam = SetFamily.from_masks(3, [0, 5])
     assert len(fam) == 2

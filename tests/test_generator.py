@@ -112,6 +112,9 @@ def test_is_generator_validation():
     assert is_generator(fam, 2, Fraction(1, 4))
     with pytest.raises(ValueError):
         is_generator(fam, 2, Fraction(-1, 4))
+    for eps in (float("inf"), float("-inf"), "1/0"):
+        with pytest.raises(ValueError, match="eps"):
+            is_generator(fam, 2, eps)
     with pytest.raises(ValueError):
         coverage(fam, 0)
 

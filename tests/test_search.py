@@ -34,7 +34,7 @@ from kwise import (
     supercube_bits,
     up_close_bits,
 )
-from kwise.search import _BranchAndBound, _below_k_scan, _naive_is_maximal, _relabelings
+from kwise.search import _BranchAndBound, _below_k_maximal, _naive_is_maximal, _relabelings
 
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
@@ -145,16 +145,18 @@ def test_enumerate_maximal_complete_at_n3(k, mode):
 
 @pytest.mark.parametrize("mode", [DISTINCT, REPETITION])
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3, 4) for k in (2, 3, 4, 5)])
-def test_below_k_scan_matches_naive_filter(n, k, mode):
-    """The prefix-sharing scan yields, in order, every family of fewer than
-    k members with its maximality decided by the naive oracle."""
-    got = [(size, None if fam is None else fam.bitmap) for size, fam in _below_k_scan(n, k, mode)]
-    want = [
-        (size, sum(1 << m for m in combo) if _naive_is_maximal(n, list(combo), k, mode) else None)
-        for size in range(1, min(k, (1 << n) + 1))
-        for combo in itertools.combinations(range(1 << n), size)
-    ]
-    assert got == want
+def test_below_k_maximal_matches_naive_filter(n, k, mode):
+    """The common-intersection rule decides every family of fewer than k
+    members as the naive oracle does, by size.  A combination the
+    generator leaves out counts as a non-maximal verdict."""
+    got = [(size, None if fam is None else fam.bitmap) for size, fam in _below_k_maximal(n, k, mode)]
+    assert [size for size, _ in got] == sorted(size for size, _ in got)
+    maximal = [bm for _, bm in got if bm is not None]
+    assert len(set(maximal)) == len(maximal)
+    for size in range(1, min(k, (1 << n) + 1)):
+        for combo in itertools.combinations(range(1 << n), size):
+            bm = sum(1 << m for m in combo)
+            assert (bm in maximal) == _naive_is_maximal(n, list(combo), k, mode), combo
 
 
 # ------------------------------------------------- minimum search
@@ -287,6 +289,8 @@ def test_search_budget_interruption():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(n=8, k=3)
+    with pytest.raises(ValueError):
+        SearchConfig(n=True, k=3)
     with pytest.raises(ValueError):
         SearchConfig(n=3, k=1)
     for budget in (0, float("nan"), float("inf")):
@@ -507,5 +511,8 @@ def test_audit_validation():
         audit_claim_counts(fam, full_mask(5), Fraction(1, 8))
     with pytest.raises(ValueError):
         audit_claim_counts(fam, 0b00011, Fraction(-1, 8))
+    for eps in (float("inf"), float("-inf"), "1/0"):
+        with pytest.raises(ValueError, match="eps"):
+            audit_claim_counts(fam, 0b00011, eps)
     with pytest.raises(ValueError):
         audit_claim_counts(SetFamily.from_masks(5, [0]), 0b00011, Fraction(1, 8))
