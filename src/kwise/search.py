@@ -2,10 +2,12 @@
 
 search_min answers, exactly, how small a maximal k-wise intersecting
 family on n elements can be.  Families below the distinctness threshold
-(fewer than k members) are scanned outright; everything at or above it is
-covered by branch and bound over upward-closed families, exhaustive
-because a maximal family with at least k members is upward closed.  An
-oracle built from first principles re-derives the answer at tiny n.
+(fewer than k members) are decided by their common intersection I: a new
+set makes at most k members, so it is blocked exactly when it misses I.
+Everything at or above the threshold is covered by branch and bound over
+upward-closed families, exhaustive because a maximal family with at least
+k members is upward closed.  An oracle built from first principles
+re-derives the answer at tiny n.
 
 The second half of the module holds the counting tools used to audit
 size bounds around a paired-cube split: minimum-defect decompositions of
@@ -126,11 +128,9 @@ def _first_below_k_size(n: int, k: int, mode: KwiseMode) -> int:
     return min(k - 1, 1 << n) if mode is KwiseMode.DISTINCT else 1
 
 
-def _below_k_maximal(
-    n: int, k: int, mode: KwiseMode
-) -> Iterator[Tuple[int, Optional[SetFamily]]]:
+def _below_k_maximal(n: int, k: int, mode: KwiseMode) -> Iterator[Tuple[int, int]]:
     """Families of fewer than k members from the smallest size that can be
-    maximal, each with the family if it is maximal and None if not.
+    maximal, each as (size, bitmap if it is maximal, else 0).
 
     A new member m makes at most k members, so only m with all of them can
     fail: m is blocked exactly when it misses I, the common intersection.
@@ -146,7 +146,7 @@ def _below_k_maximal(
             common = reduce(operator.and_, combo)
             bm = sum(1 << m for m in combo)
             maximal = (distinct or size == 1 or common) and bm | cube_bits(top ^ common) == full
-            yield size, (SetFamily(n, bm) if maximal else None)
+            yield size, bm if maximal else 0
 
 
 def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamily]:
@@ -158,7 +158,7 @@ def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamil
     """
     if n > MAX_UPSET_GROUND:
         raise ValueError(f"exhaustive enumeration capped at n={MAX_UPSET_GROUND}, got {n}")
-    results = [fam for _, fam in _below_k_maximal(n, k, mode) if fam is not None]
+    results = [SetFamily(n, bm) for _, bm in _below_k_maximal(n, k, mode) if bm]
     for bm in enumerate_upsets(n):
         if bm.bit_count() < k:
             continue
@@ -324,15 +324,15 @@ def search_min(config: SearchConfig) -> SearchReport:
     found: List[int] = []
     interrupted = False
     try:
-        for size, fam in _below_k_maximal(n, k, mode):
+        for size, bm in _below_k_maximal(n, k, mode):
             if best is not None and size > best:
                 break
             nodes += 1
             if nodes & 255 == 0 and time.monotonic() > deadline:
                 raise _BudgetExceeded
-            if fam is not None:
+            if bm:
                 best = size
-                found.append(fam.bitmap)
+                found.append(bm)
     except _BudgetExceeded:
         interrupted = True
 
@@ -360,9 +360,7 @@ def search_min(config: SearchConfig) -> SearchReport:
         nodes_explored=nodes,
         elapsed=time.monotonic() - start,
         optimal=not interrupted,
-        # no smaller size holds a maximal family, and the first family at
-        # the floor contains the empty set, so it is maximal
-        lower_bound=floor,
+        lower_bound=floor,  # no smaller family is maximal, by the rule
     )
 
 

@@ -149,9 +149,9 @@ def test_below_k_maximal_matches_naive_filter(n, k, mode):
     """The common-intersection rule decides every family of fewer than k
     members as the naive oracle does, by size.  A combination the
     generator leaves out counts as a non-maximal verdict."""
-    got = [(size, None if fam is None else fam.bitmap) for size, fam in _below_k_maximal(n, k, mode)]
+    got = list(_below_k_maximal(n, k, mode))
     assert [size for size, _ in got] == sorted(size for size, _ in got)
-    maximal = [bm for _, bm in got if bm is not None]
+    maximal = [bm for _, bm in got if bm]
     assert len(set(maximal)) == len(maximal)
     for size in range(1, min(k, (1 << n) + 1)):
         for combo in itertools.combinations(range(1 << n), size):
