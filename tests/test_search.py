@@ -145,7 +145,7 @@ def test_enumerate_maximal_complete_at_n3(k, mode):
 
 @pytest.mark.parametrize("mode", [DISTINCT, REPETITION])
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3, 4) for k in (2, 3, 4, 5)])
-def test_below_k_maximal_matches_naive_filter(n, k, mode):
+def test_below_k_scan_matches_naive_filter(n, k, mode):
     """The common-intersection rule decides every family of fewer than k
     members as the naive oracle does, by size.  A combination the
     generator leaves out counts as a non-maximal verdict."""
