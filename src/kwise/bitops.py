@@ -25,8 +25,7 @@ def mask_from_elements(elements: Iterable[int], n: int) -> int:
     """Build a mask from 1-based element labels."""
     mask = 0
     for e in elements:
-        if not 1 <= e <= n:
-            raise ValueError(f"element {e} out of range 1..{n}")
+        check_element(e, n)
         mask |= 1 << (e - 1)
     return mask
 
@@ -39,6 +38,12 @@ def mask_elements(mask: int) -> List[int]:
 def check_ground(n: int) -> None:
     if type(n) is not int or not 1 <= n <= MAX_FAMILY_GROUND:
         raise ValueError(f"ground size must be an int in 1..{MAX_FAMILY_GROUND}, got {n!r}")
+
+
+def check_element(i: int, n: int) -> None:
+    """Reject anything but an int element label in 1..n; a bool is no label."""
+    if type(i) is not int or not 1 <= i <= n:
+        raise ValueError(f"element {i!r} out of range 1..{n}")
 
 
 def family_full_bitmap(n: int) -> int:

@@ -26,7 +26,7 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .bitops import family_full_bitmap, iter_bits, mask_elements, mask_from_elements
 from .constructions import (
@@ -93,13 +93,9 @@ def _cmd_check(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     fam = _parse_family(args.n, args.family)
     state = ReachState.of(fam, args.k, mode)
     kwise = state.intersecting()
-    maximal = False
-    witness: Optional[int] = None
-    if kwise:
-        addable = state.addable(fam.bitmap)
-        maximal = addable == 0
-        if not maximal:
-            witness = (addable & -addable).bit_length() - 1
+    addable = state.addable() if kwise else 0
+    maximal = kwise and not addable
+    witness = (addable & -addable).bit_length() - 1 if addable else None
     params = {"n": args.n, "k": args.k, "mode": mode.value, "family": args.family}
     result = {
         "size": len(fam),
@@ -266,6 +262,7 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         seen.setdefault(key, payload)
 
     f_rows, max_rows = {}, {}
+    balanced_hex: Dict[int, str] = {}
     for rec in records:
         if rec.get("command") not in ("search-min", "check"):
             continue
@@ -292,8 +289,9 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
             continue
         if family.startswith("@"):
             continue
-        expected = linked_cubes(n, balanced_block(n)).to_hex()
-        if family.strip().lower() != expected:
+        if n not in balanced_hex:
+            balanced_hex[n] = linked_cubes(n, balanced_block(n)).to_hex()
+        if family.strip().lower() != balanced_hex[n]:
             continue
         max_rows.setdefault((n, k, mode), [n, k, mode, result.get("size"), result.get("maximal")])
 

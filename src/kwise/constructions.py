@@ -15,6 +15,7 @@ from .bitops import (
     cube_bits,
     full_mask,
     mask_complement,
+    mask_from_elements,
     supercube_bits,
 )
 from .core import SetFamily
@@ -84,15 +85,7 @@ class Partition:
 
     @classmethod
     def from_element_lists(cls, n: int, groups: Sequence[Sequence[int]]) -> "Partition":
-        blocks = []
-        for group in groups:
-            m = 0
-            for e in group:
-                if not 1 <= e <= n:
-                    raise ValueError(f"element {e} out of range 1..{n}")
-                m |= 1 << (e - 1)
-            blocks.append(m)
-        return cls(n, tuple(blocks))
+        return cls(n, tuple(mask_from_elements(group, n) for group in groups))
 
     @classmethod
     def contiguous(cls, n: int, parts: int) -> "Partition":

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 from . import bitops
 from .bitops import (
     MAX_FAMILY_GROUND,
+    check_element,
     check_ground,
     cube_bits,
     family_full_bitmap,
@@ -199,21 +200,16 @@ def is_down_closed(family: SetFamily) -> bool:
 
 def restrict_minus(family: SetFamily, i: int) -> SetFamily:
     """Members avoiding element i, on the same ground set."""
-    _check_element(family.n, i)
+    check_element(i, family.n)
     pat = bitops._clear_bit_pattern(family.n, i - 1)
     return SetFamily(family.n, family.bitmap & pat)
 
 
 def restrict_plus(family: SetFamily, i: int) -> SetFamily:
     """Members containing element i, with i removed, on the same ground set."""
-    _check_element(family.n, i)
+    check_element(i, family.n)
     pat = bitops._clear_bit_pattern(family.n, i - 1)
     return SetFamily(family.n, (family.bitmap >> (1 << (i - 1))) & pat)
-
-
-def _check_element(n: int, i: int) -> None:
-    if not isinstance(i, int) or not 1 <= i <= n:
-        raise ValueError(f"element {i!r} out of range 1..{n}")
 
 
 # A layer whose antichain grows wider than _SPARSE_LIMITS[n] turns into a
@@ -292,7 +288,8 @@ class ReachState:
     R_j holds the masks that are the intersection of exactly j pairwise
     distinct members.  Folding in a new member g adds {t & g : t in R_(j-1)}
     to R_j, where R_(j-1) was built from earlier members only, so every
-    witness collection is automatically distinct.
+    witness collection is automatically distinct.  The state also keeps the
+    family itself as the bitmap members.
 
     Both questions asked of a layer depend only on its up-closure: "is the
     empty set reachable" and "which masks miss some reachable t".  And if
@@ -307,11 +304,19 @@ class ReachState:
     collection through the earlier member, or by one more distinct member),
     so its fold only counts it.
 
+    The layers nest: in a family of more than j members, each t in R_j
+    contains t & h, which is in R_(j+1), for any member h outside t's
+    collection.  So a mask that misses something in R_j also misses
+    something in R_(j+1), and if R_j reaches the empty set so does
+    R_(j+1).  Each question therefore reads one layer, the highest it
+    ranges over, and the two modes give different answers only below k
+    members.
+
     States are immutable: fold returns a new state and shares unchanged
     layers with the old one, so branching on a state costs nothing.
     """
 
-    __slots__ = ("n", "k", "mode", "size", "layers")
+    __slots__ = ("n", "k", "mode", "size", "layers", "members")
 
     def __init__(self, n: int, k: int, mode: KwiseMode = KwiseMode.DISTINCT):
         """The state of the empty family."""
@@ -323,11 +328,12 @@ class ReachState:
         # layers[j - 1] is R_j, empty past j = 2^n; keeping one empty layer
         # more means a family has len(layers) members only when it has k
         self.layers: Tuple = ((),) * min(k, (1 << n) + 1)
+        self.members = 0
 
-    def _after(self, size: int, layers: Tuple) -> "ReachState":
+    def _after(self, size: int, layers: Tuple, members: int) -> "ReachState":
         state = object.__new__(ReachState)
         state.n, state.k, state.mode = self.n, self.k, self.mode
-        state.size, state.layers = size, layers
+        state.size, state.layers, state.members = size, layers, members
         return state
 
     @classmethod
@@ -338,18 +344,20 @@ class ReachState:
         for g in family.members():
             layers = _fold_layers(layers, size, g, family.n)
             size += 1
-        return empty._after(size, layers)
+        return empty._after(size, layers, family.bitmap)
 
     def fold(self, g: int) -> "ReachState":
         """The state after adding member g, which must not be a member yet."""
-        return self._after(self.size + 1, _fold_layers(self.layers, self.size, g, self.n))
+        layers = _fold_layers(self.layers, self.size, g, self.n)
+        return self._after(self.size + 1, layers, self.members | 1 << g)
 
     def hits_empty(self) -> bool:
-        """Whether some 2..k distinct members have an empty intersection."""
-        return any(
-            layer & 1 if type(layer) is int else 0 in layer
-            for layer in self.layers[1:]
-        )
+        """Whether some 2..k distinct members have an empty intersection,
+        read from R_min(size, k)."""
+        if self.size < 2:
+            return False
+        layer = self.layers[min(self.size, self.k) - 1]
+        return bool(layer & 1) if type(layer) is int else 0 in layer
 
     def intersecting(self) -> bool:
         """The k-wise verdict for the folded family, in the state's mode."""
@@ -357,12 +365,14 @@ class ReachState:
             return True
         return not self.hits_empty()
 
-    def relevant(self) -> Tuple:
-        """The layers whose reachable masks block a new member: R_(k-1) in
-        DISTINCT mode, R_1..R_(k-1) with repetition."""
-        if self.mode is KwiseMode.DISTINCT:
-            return self.layers[self.k - 2 : self.k - 1]
-        return self.layers[: self.k - 1]
+    def relevant(self) -> int | Tuple[int, ...]:
+        """The layer whose reachable masks block a new member: R_(k-1) in
+        DISTINCT mode, R_min(size, k-1) with repetition (R_1 when empty).
+        Past the last layer, R_(k-1) is the spare empty one."""
+        j = self.k - 1
+        if self.mode is KwiseMode.WITH_REPETITION:
+            j = min(j, self.size) or 1
+        return self.layers[min(j, len(self.layers)) - 1]
 
     def blocked(self) -> int:
         """Bitmap of masks whose addition would break the k-wise property.
@@ -371,22 +381,21 @@ class ReachState:
         avoids it, that is when m is a submask of t's complement.
         """
         n = self.n
-        top = full_mask(n)
-        sparse = set()
-        dense = 0
-        for layer in self.relevant():
-            if type(layer) is int:
-                dense |= layer
-            else:
-                sparse.update(top ^ t for t in layer)
-        complements = _bitmap_of(sparse, n) if sparse else 0
-        if dense:
-            complements |= reverse_index_bits(dense, n)
+        layer = self.relevant()
+        if type(layer) is int:
+            complements = reverse_index_bits(layer, n)
+        else:
+            top = full_mask(n)
+            complements = _bitmap_of([top ^ t for t in layer], n)
         return down_close_bits(complements, n) if complements else 0
 
-    def addable(self, bitmap: int) -> int:
-        """Non-members of the given family bitmap that are not blocked."""
-        return ~self.blocked() & ~bitmap & family_full_bitmap(self.n)
+    def addable(self) -> int:
+        """Non-members that are not blocked."""
+        return ~self.blocked() & ~self.members & family_full_bitmap(self.n)
+
+    def maximal(self) -> bool:
+        """Whether the family is k-wise intersecting and nothing is addable."""
+        return self.intersecting() and self.addable() == 0
 
 
 def is_k_wise_intersecting(
@@ -419,7 +428,7 @@ def addable_sets(
     The input family must itself be k-wise intersecting.
     """
     state = _intersecting_state(family, k, mode)
-    return SetFamily(family.n, state.addable(family.bitmap))
+    return SetFamily(family.n, state.addable())
 
 
 def is_maximal_k_wise(
@@ -451,25 +460,24 @@ def maximal_closure(
     one at a time.  Below k members there is nothing to add in bulk.
     """
     state = _intersecting_state(family, k, mode)
-    n, bm = family.n, family.bitmap
-    addable = state.addable(bm)
-    supersets = up_close_bits(bm, n) & ~bm if state.size >= k else 0
+    n = family.n
+    addable = state.addable()
+    supersets = up_close_bits(state.members, n) & ~state.members if state.size >= k else 0
     while True:
         if supersets:
-            bm |= supersets
             addable &= ~supersets
-            state = state._after(state.size + supersets.bit_count(), state.layers)
+            size = state.size + supersets.bit_count()
+            state = state._after(size, state.layers, state.members | supersets)
         if not addable:
-            return SetFamily(n, bm)
+            return SetFamily(n, state.members)
         g = (addable & -addable).bit_length() - 1
-        bm |= 1 << g
         grown = state.fold(g)
         if grown.relevant() == state.relevant():
             addable ^= 1 << g
         else:
-            addable = grown.addable(bm)
+            addable = grown.addable()
         state = grown
         if state.size == k:
-            supersets = up_close_bits(bm, n) & ~bm
+            supersets = up_close_bits(state.members, n) & ~state.members
         elif state.size > k:
-            supersets = supercube_bits(g, n) & ~bm
+            supersets = supercube_bits(g, n) & ~state.members

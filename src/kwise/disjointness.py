@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .bitops import cube_bits, mask_complement
+from .bitops import check_element, cube_bits, mask_complement
 from .constructions import Partition
 from .core import SetFamily, restrict_plus, _check_same_ground
 
@@ -83,8 +83,7 @@ def _cross_adjacency(
 
 def count_edges_touching(graph: DisjointnessGraph, elem: int) -> int:
     """Edges whose two endpoint masks jointly contain the given element."""
-    if not 1 <= elem <= graph.n:
-        raise ValueError(f"element {elem} out of range 1..{graph.n}")
+    check_element(elem, graph.n)
     bit = 1 << (elem - 1)
     right_with = 0
     for v, mv in enumerate(graph.right):
@@ -133,8 +132,7 @@ def stability_stats(
     """
     _check_same_ground(x_family, y_family)
     n = x_family.n
-    if not 1 <= elem <= n:
-        raise ValueError(f"element {elem} out of range 1..{n}")
+    check_element(elem, n)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     if len(x_family) == 0 or len(y_family) == 0:
@@ -223,8 +221,7 @@ def audit_lemma_size_premises(
     n = x_family.n
     if elem is None:
         elem = n
-    if not 1 <= elem <= n:
-        raise ValueError(f"element {elem} out of range 1..{n}")
+    check_element(elem, n)
     slack = Fraction(slack)
     if slack < 0:
         raise ValueError("slack must be nonnegative")

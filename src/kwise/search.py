@@ -162,8 +162,7 @@ def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamil
     for bm in enumerate_upsets(n):
         if bm.bit_count() < k:
             continue
-        state = ReachState.of(SetFamily(n, bm), k, mode)
-        if state.intersecting() and state.addable(bm) == 0:
+        if ReachState.of(SetFamily(n, bm), k, mode).maximal():
             results.append(SetFamily(n, bm))
     return results
 
@@ -174,7 +173,6 @@ class SearchConfig:
     k: int
     mode: KwiseMode = KwiseMode.DISTINCT
     budget: float = 60.0
-    symmetry: bool = True
 
     def __post_init__(self):
         check_ground(self.n)
@@ -255,7 +253,7 @@ class _BranchAndBound:
 
     def run(self) -> bool:
         try:
-            self._branch(0, 0, 0, ReachState(self.n, self.k, self.mode))
+            self._branch(0, 0, ReachState(self.n, self.k, self.mode))
         except _BudgetExceeded:
             return False
         return True
@@ -266,44 +264,43 @@ class _BranchAndBound:
         # ties matter only when the incumbent size is itself reachable here
         return size > self.best or self.best < self.k
 
-    def _branch(self, d: int, in_bm: int, forced_bm: int, state: ReachState) -> None:
+    def _branch(self, d: int, forced_bm: int, state: ReachState) -> None:
         self.nodes += 1
         if self.nodes & 255 == 0 and time.monotonic() > self.deadline:
             raise _BudgetExceeded
         if self._too_big(state.size):
             return
         if self.symmetry and d in self.checkpoints:
-            if not self._region_minimal(in_bm, self.checkpoints[d]):
+            if not self._region_minimal(state.members, self.checkpoints[d]):
                 return
         if d == self.count:
-            # every entered state passed hits_empty, so the family is k-wise
-            if state.size >= self.k and state.addable(in_bm) == 0:
-                self._record(in_bm, state.size)
+            if state.size >= self.k and state.maximal():
+                self._record(state)
             return
         if (forced_bm >> d) & 1:
-            self._enter(d, in_bm, forced_bm, state)
+            self._enter(d, forced_bm, state)
             return
-        self._branch(d + 1, in_bm, forced_bm, state)
-        self._enter(d, in_bm, forced_bm, state)
+        self._branch(d + 1, forced_bm, state)
+        self._enter(d, forced_bm, state)
 
-    def _enter(self, m: int, in_bm: int, forced_bm: int, state: ReachState) -> None:
+    def _enter(self, m: int, forced_bm: int, state: ReachState) -> None:
         state = state.fold(m)
         if state.hits_empty():
             return
-        self._branch(m + 1, in_bm | (1 << m), forced_bm | supercube_bits(m, self.n), state)
+        self._branch(m + 1, forced_bm | supercube_bits(m, self.n), state)
 
-    def _record(self, in_bm: int, size: int) -> None:
-        if self.best is None or size < self.best:
-            self.best = size
-            self.found = [in_bm]
-        elif size == self.best:
-            self.found.append(in_bm)
+    def _record(self, state: ReachState) -> None:
+        if self.best is None or state.size < self.best:
+            self.best = state.size
+            self.found = [state.members]
+        elif state.size == self.best:
+            self.found.append(state.members)
 
-    def _region_minimal(self, in_bm: int, j: int) -> bool:
-        """Whether no relabeling of in_bm's first j coordinates is smaller stage by stage."""
+    def _region_minimal(self, members: int, j: int) -> bool:
+        """Whether no relabeling of the members' first j coordinates is smaller stage by stage."""
         stages = [(1 << (1 << i)) - 1 for i in range(1, j + 1)]
-        base = [in_bm & sm for sm in stages]
-        return all([bm & sm for sm in stages] >= base for bm in _relabelings(in_bm, j, j))
+        base = [members & sm for sm in stages]
+        return all([bm & sm for sm in stages] >= base for bm in _relabelings(members, j, j))
 
 
 def search_min(config: SearchConfig) -> SearchReport:
@@ -337,7 +334,7 @@ def search_min(config: SearchConfig) -> SearchReport:
         interrupted = True
 
     if not interrupted:
-        engine = _BranchAndBound(n, k, mode, deadline, config.symmetry, best, found)
+        engine = _BranchAndBound(n, k, mode, deadline, symmetry=True, best=best, found=found)
         interrupted = not engine.run()
         nodes += engine.nodes
         best, found = engine.best, engine.found
@@ -581,8 +578,7 @@ def audit_claim_counts(family: SetFamily, s: int, eps) -> ClaimCountsReport:
     eps = _exact_eps(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    state = ReachState.of(family, 3)
-    if not state.intersecting() or state.addable(family.bitmap):
+    if not ReachState.of(family, 3).maximal():
         raise ValueError("family must be maximal 3-wise intersecting")
     ell = (n - 1) // 2
     g = complement_family(family)

@@ -1,11 +1,23 @@
 """Bit-level primitives checked against brute-force set arithmetic."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kwise import (
+    Partition,
+    SetFamily,
+    audit_lemma_size_premises,
+    build_graph,
+    count_edges_touching,
+    restrict_minus,
+    restrict_plus,
+    stability_stats,
+)
 from kwise.bitops import (
     cube_bits,
     down_close_bits,
@@ -50,6 +62,28 @@ def test_mask_roundtrip():
     assert mask_from_elements([], 5) == 0
     with pytest.raises(ValueError):
         mask_from_elements([6], 5)
+
+
+FAM3 = SetFamily(3, 0b10110110)
+ELEMENT_ENTRY_POINTS = {
+    "mask_from_elements": lambda i: mask_from_elements([i], 3),
+    "from_element_lists": lambda i: Partition.from_element_lists(3, [[i], [1, 2, 3]]),
+    "restrict_minus": lambda i: restrict_minus(FAM3, i),
+    "restrict_plus": lambda i: restrict_plus(FAM3, i),
+    "count_edges_touching": lambda i: count_edges_touching(build_graph(FAM3), i),
+    "stability_stats": lambda i: stability_stats(FAM3, FAM3, 1, i),
+    "audit_lemma_size_premises": lambda i: audit_lemma_size_premises(
+        FAM3, FAM3, 1, Fraction(1), elem=i
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ELEMENT_ENTRY_POINTS))
+@pytest.mark.parametrize("label", [True, 0, 4])
+def test_element_labels_are_checked_alike(entry, label):
+    """bool is an int subclass, but no element label; 0 and n + 1 are out of range."""
+    with pytest.raises(ValueError, match=re.escape(f"element {label} out of range 1..3")):
+        ELEMENT_ENTRY_POINTS[entry](label)
 
 
 def test_full_and_complement():

@@ -12,7 +12,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kwise import (
@@ -24,6 +24,7 @@ from kwise import (
     is_maximal_k_wise,
     linked_cubes,
 )
+from kwise.bitops import up_close_bits
 from kwise.core import ReachState
 from kwise.search import _naive_addable, _naive_is_kwise, _naive_is_maximal
 
@@ -56,7 +57,7 @@ def assert_matches_oracles(fam, k, mode, state=None):
         g for g in range(1 << n)
         if g not in fam and _naive_addable(members, g, k, mode)
     }
-    assert set(SetFamily(n, state.addable(fam.bitmap))) == want
+    assert set(SetFamily(n, state.addable())) == want
     assert set(addable_sets(fam, k, mode)) == want
     assert is_maximal_k_wise(fam, k, mode) == _naive_is_maximal(n, members, k, mode)
 
@@ -85,6 +86,28 @@ def test_fold_order_does_not_matter(fam, k, mode, rng):
         state = state.fold(g)
     assert state.size == len(fam)
     assert_matches_oracles(fam, k, mode, state)
+
+
+@given(small_families(), st.integers(2, 5), st.sampled_from(MODES), st.randoms())
+@example(uniform(6, 5), 5, KwiseMode.DISTINCT, random.Random(0))
+@example(uniform(6, 5), 4, KwiseMode.WITH_REPETITION, random.Random(1))
+@example(uniform(6, 4), 3, KwiseMode.DISTINCT, random.Random(2))
+@settings(deadline=None, max_examples=200)
+def test_layers_nest_and_members_are_the_family(fam, k, mode, rng):
+    # each question reads one layer because up(R_j) lies inside up(R_(j+1))
+    members = fam.member_list()
+    rng.shuffle(members)
+    folded = ReachState(fam.n, k, mode)
+    for g in members:
+        folded = folded.fold(g)
+    for state in (ReachState.of(fam, k, mode), folded):
+        assert state.members == fam.bitmap
+        ups = [
+            up_close_bits(layer if type(layer) is int else sum(1 << t for t in layer), fam.n)
+            for layer in state.layers
+        ]
+        for j in range(1, min(state.size, len(ups))):
+            assert ups[j - 1] & ~ups[j] == 0
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -142,7 +165,7 @@ def test_linked_cubes_maximal_at_n24():
     fam = linked_cubes(24, balanced_block(24))
     state = ReachState.of(fam, 3)
     assert not any(dense_layers(state))
-    assert state.intersecting() and state.addable(fam.bitmap) == 0
+    assert state.intersecting() and state.addable() == 0
 
 
 def test_fold_leaves_the_old_state_unchanged():

@@ -1,7 +1,11 @@
-"""The Python examples in README.md run as written."""
+"""The documented surface: README.md's Python examples run as written, and
+the package's __all__ lists every public name."""
 
 import re
+import types
 from pathlib import Path
+
+import kwise
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +16,12 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_all_lists_the_public_names():
+    public = {
+        name
+        for name, value in vars(kwise).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(kwise.__all__) == sorted(public)

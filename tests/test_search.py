@@ -270,14 +270,6 @@ def test_search_min_pinned_results(n, k, mode, f, nodes, lower_bound, classes, d
     assert (len(report.witnesses), _witness_digest(report)) == (classes, digest)
 
 
-def test_search_symmetry_toggle_agrees():
-    for n, k in [(3, 3), (4, 3)]:
-        on = search_min(SearchConfig(n=n, k=k, symmetry=True))
-        off = search_min(SearchConfig(n=n, k=k, symmetry=False))
-        assert on.f_value == off.f_value
-        assert on.witnesses == off.witnesses
-
-
 def test_search_budget_interruption():
     report = search_min(SearchConfig(n=7, k=3, budget=1e-9))
     assert not report.optimal
