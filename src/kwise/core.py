@@ -447,7 +447,7 @@ def maximal_closure(
     until a pass adds nothing.  Blocked candidates stay blocked as the
     family grows, so adding the lowest addable mask each round reproduces
     the ascending-scan fixpoint exactly.  The addable set is recomputed only
-    when an added member changes the layers that block candidates;
+    when an added member changes the layer that blocks candidates;
     otherwise it just loses the added mask.
 
     Once the family has k members, every non-member superset of a member
