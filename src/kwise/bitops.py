@@ -6,6 +6,7 @@ belongs to the subset.  A family of subsets is a single int used as a
 a member).  Everything here is a pure function on ints.
 """
 
+import re
 from functools import lru_cache
 from typing import Iterable, Iterator, List
 
@@ -88,6 +89,27 @@ def reverse_index_bits(bm: int, n: int) -> int:
     return bm
 
 
+def _minimal_members(bm: int, n: int) -> int:
+    """Members of a family bitmap that contain no other member.
+
+    A member strictly contains another exactly when it is one element
+    larger than some mask of the up-closure.
+    """
+    up = up_close_bits(bm, n)
+    larger = 0
+    for i in range(n):
+        larger |= (up & _clear_bit_pattern(n, i)) << (1 << i)
+    return bm & ~larger
+
+
+def _maximal_members(bm: int, n: int) -> int:
+    """Members of a down-closed family bitmap with no member one element larger."""
+    larger = 0
+    for i in range(n):
+        larger |= (bm >> (1 << i)) & _clear_bit_pattern(n, i)
+    return bm & ~larger
+
+
 def _swap_index_bits(bm: int, a: int, b: int, n: int) -> int:
     """Remap every index m to m with its bits a < b exchanged."""
     shift = (1 << b) - (1 << a)
@@ -126,20 +148,25 @@ def supercube_bits(mask: int, n: int) -> int:
 _BYTE_BITS = tuple(
     tuple(j for j in range(8) if (b >> j) & 1) for b in range(256)
 )
+_NONZERO_RUNS = re.compile(rb"[^\x00]+")
 
 
 def iter_bits(bm: int) -> Iterator[int]:
-    """Indices of set bits, ascending.  Linear scan over bytes."""
+    """Indices of set bits, ascending.
+
+    The regex engine skips the zero bytes of the little-endian bytes, so
+    Python-level work is proportional to the nonzero bytes, not to the
+    bit length.
+    """
     if bm < 0:
         raise ValueError("negative bitmap")
-    if bm == 0:
-        return
     data = bm.to_bytes((bm.bit_length() + 7) // 8, "little")
-    for idx, byte in enumerate(data):
-        if byte:
-            base = idx << 3
+    for run in _NONZERO_RUNS.finditer(data):
+        base = run.start() << 3
+        for byte in run.group():
             for j in _BYTE_BITS[byte]:
                 yield base + j
+            base += 8
 
 
 def submasks(mask: int) -> Iterator[int]:

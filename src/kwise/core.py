@@ -225,6 +225,16 @@ _SPARSE_LIMITS = tuple(
 )
 
 
+# ReachState.of strikes the non-minimal members of a family with bitmap
+# passes once it has at least n * 2^n / 2^_MINIMAL_PASS_SHIFT members.  The
+# passes cost about 2n big-int operations over the 2^n-bit bitmap, the walk
+# they replace about one Python step per member.  Timed with either side
+# forced, the passes won on random families at the bound (n = 16 and 20)
+# and on linked cubes up to n = 19, and lost from n = 21 on; linked cubes
+# broke even at n = 20, about n * 2^n / 2^13 members (BENCH_10.json).
+_MINIMAL_PASS_SHIFT = 12
+
+
 def _bitmap_of(masks: Iterable[int], n: int) -> int:
     """Family bitmap of the given masks, built in one pass over its bytes."""
     buf = bytearray(((1 << n) + 7) >> 3)
@@ -302,7 +312,10 @@ class ReachState:
     has at least k members, a new member containing an earlier one changes
     no up-closure (any collection through it is dominated by the same
     collection through the earlier member, or by one more distinct member),
-    so its fold only counts it.
+    so its fold only counts it.  ReachState.of therefore folds, past its
+    first k members, only the minimal members of a large family: in an
+    up-closed one those are few, n of the 2^ceil(n/2) + 2^floor(n/2) - 3
+    members of the balanced linked cubes and one of a star.
 
     The layers nest: in a family of more than j members, each t in R_j
     contains t & h, which is in R_(j+1), for any member h outside t's
@@ -338,13 +351,30 @@ class ReachState:
 
     @classmethod
     def of(cls, family: SetFamily, k: int, mode: KwiseMode = KwiseMode.DISTINCT) -> "ReachState":
-        """The state of a whole family, its members folded in ascending order."""
+        """The state of a whole family, its members folded in ascending order.
+
+        After the first len(layers) members, a family of at least
+        n * 2^n / 2^_MINIMAL_PASS_SHIFT members folds only its minimal
+        members.  The layers are the same as from folding every member: a
+        skipped member contains a member with a smaller mask, which was
+        folded before it, so its fold would have returned the layers
+        unchanged.
+        """
         empty = cls(family.n, k, mode)
+        n, bm = family.n, family.bitmap
         layers, size = empty.layers, 0
-        for g in family.members():
-            layers = _fold_layers(layers, size, g, family.n)
+        members = iter_bits(bm)
+        for g in members:
+            layers = _fold_layers(layers, size, g, n)
             size += 1
-        return empty._after(size, layers, family.bitmap)
+            if size == len(layers):
+                break
+        if size == len(layers) and bm.bit_count() << _MINIMAL_PASS_SHIFT >= n << n:
+            members = iter_bits(bitops._minimal_members(bm, n) >> (g + 1) << (g + 1))
+        for g in members:
+            layers = _fold_layers(layers, size, g, n)
+            size += 1
+        return empty._after(bm.bit_count(), layers, bm)
 
     def fold(self, g: int) -> "ReachState":
         """The state after adding member g, which must not be a member yet."""

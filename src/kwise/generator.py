@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .bitops import (
-    _clear_bit_pattern,
+    _maximal_members,
     cube_bits,
     down_close_bits,
     family_full_bitmap,
@@ -40,14 +40,6 @@ class CoverageResult:
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.count, 1 << self.covered.n)
-
-
-def _maximal_members(bm: int, n: int) -> int:
-    """Members of a down-closed family bitmap with no member one element larger."""
-    larger = 0
-    for i in range(n):
-        larger |= (bm >> (1 << i)) & _clear_bit_pattern(n, i)
-    return bm & ~larger
 
 
 def coverage(family: SetFamily, k: int) -> CoverageResult:

@@ -41,6 +41,7 @@ from .core import (
     KwiseMode,
     ReachState,
     SetFamily,
+    _check_k,
     _exact_eps,
     complement_family,
     symmetric_difference_count,
@@ -178,8 +179,7 @@ class SearchConfig:
         check_ground(self.n)
         if self.n > MAX_SEARCH_GROUND:
             raise ValueError(f"search capped at n={MAX_SEARCH_GROUND}, got {self.n}")
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
+        _check_k(self.k)
         if not isinstance(self.mode, KwiseMode):
             raise ValueError(f"mode must be a KwiseMode, got {self.mode!r}")
         if not math.isfinite(self.budget) or self.budget <= 0:

@@ -19,6 +19,8 @@ from kwise import (
     stability_stats,
 )
 from kwise.bitops import (
+    _maximal_members,
+    _minimal_members,
     cube_bits,
     down_close_bits,
     family_full_bitmap,
@@ -96,6 +98,43 @@ def test_iter_bits_and_submasks():
     assert list(iter_bits(0b10110)) == [1, 2, 4]
     assert sorted(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
     assert list(submasks(0)) == [0]
+
+
+@given(st.integers(min_value=0, max_value=(1 << 4096) - 1) | st.binary(max_size=600).map(
+    lambda raw: int.from_bytes(raw, "little")
+))
+@settings(deadline=None)
+def test_iter_bits_matches_a_bit_loop(bm):
+    # the binary strategy gives long zero stretches between nonzero runs
+    assert list(iter_bits(bm)) == members_of(bm)
+
+
+def test_iter_bits_runs_and_gaps():
+    top = (1 << 26) - 1
+    assert list(iter_bits(1 | 1 << top)) == [0, top]
+    assert list(iter_bits(1 << top)) == [top]
+    # a run of set bits across three byte boundaries, then a lone byte
+    run = ((1 << 27) - 1) << 5
+    assert list(iter_bits(run | 1 << 100)) == list(range(5, 32)) + [100]
+    assert list(iter_bits(0xFF)) == list(range(8))
+    assert list(iter_bits(0xFF << 8000)) == list(range(8000, 8008))
+    assert list(iter_bits(0)) == []
+    with pytest.raises(ValueError):
+        list(iter_bits(-1))
+
+
+@given(family_bitmaps(max_n=5))
+@settings(deadline=None)
+def test_minimal_and_maximal_members_match_bruteforce(nb):
+    n, bm = nb
+    members = members_of(bm)
+    minimal = [m for m in members if not any(a != m and a & m == a for a in members)]
+    assert _minimal_members(bm, n) == bitmap_of(minimal)
+    # _maximal_members reads only one-element steps, so it is exact on down-sets
+    down = down_close_bits(bm, n)
+    members = members_of(down)
+    maximal = [m for m in members if not any(a != m and a & m == m for a in members)]
+    assert _maximal_members(down, n) == bitmap_of(maximal)
 
 
 def test_cube_and_supercube_explicit():

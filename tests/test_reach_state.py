@@ -5,7 +5,9 @@ enumerate member collections with itertools and never touch ReachState,
 so agreement is meaningful.  Inputs cover both layer representations:
 uniform families of large subsets push a layer past the sparse width
 limit into a dense bitmap, linked cubes keep every layer a sparse
-antichain.
+antichain.  ReachState.of, which skips non-minimal members of large
+families, is also compared layer for layer with a plain fold of every
+member.
 """
 
 import itertools
@@ -23,7 +25,9 @@ from kwise import (
     is_k_wise_intersecting,
     is_maximal_k_wise,
     linked_cubes,
+    maximal_closure,
 )
+from kwise import core
 from kwise.bitops import up_close_bits
 from kwise.core import ReachState
 from kwise.search import _naive_addable, _naive_is_kwise, _naive_is_maximal
@@ -178,3 +182,107 @@ def test_fold_leaves_the_old_state_unchanged():
     assert after.size == len(fam) + 1
     # linked cubes are maximal, so any added set breaks the property
     assert before.intersecting() and not after.intersecting()
+
+
+def ascending_fold(fam, k, mode):
+    """Reference state: every member folded with ReachState.fold in ascending order."""
+    state = ReachState(fam.n, k, mode)
+    for i, byte in enumerate(fam.bitmap.to_bytes(((1 << fam.n) + 7) // 8, "little")):
+        for j in range(8 if byte else 0):
+            if (byte >> j) & 1:
+                state = state.fold(8 * i + j)
+    return state
+
+
+def assert_of_is_the_ascending_fold(fam, k, mode):
+    state, ref = ReachState.of(fam, k, mode), ascending_fold(fam, k, mode)
+    assert state.layers == ref.layers
+    assert state.members == ref.members == fam.bitmap
+    assert state.size == ref.size == fam.bitmap.bit_count()
+
+
+def above_pass_bound(fam):
+    return fam.bitmap.bit_count() << core._MINIMAL_PASS_SHIFT >= fam.n << fam.n
+
+
+def star(n):
+    return SetFamily(n, sum(1 << m for m in range(1 << n) if m & 1))
+
+
+def with_supersets(n, masks, rng):
+    """The masks and, for half of them, one random superset each."""
+    out = set(masks)
+    for m in masks[::2]:
+        out.add(m | rng.getrandbits(n))
+    return SetFamily.from_masks(n, out)
+
+
+def seeded_closure(n, k, mode, rng):
+    """maximal_closure of a random k-wise intersecting family of large sets."""
+    while True:
+        masks = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(rng.randint(2, 6))]
+        fam = SetFamily.from_masks(n, masks)
+        if is_k_wise_intersecting(fam, k, mode):
+            return maximal_closure(fam, k, mode)
+
+
+def up_closed_families(k, mode):
+    rng = random.Random(k * 2 + (mode is KwiseMode.DISTINCT))
+    for n in (4, 9, 13):
+        yield seeded_closure(n, k, mode, rng)
+    for n in (4, 10, 14):
+        yield star(n)
+    # from n = 18 on balanced linked cubes fall below the bound and are
+    # walked whole; with a one-point block they have 2^(n-1) - 1 members
+    for n in (5, 9, 12, 16, 18):
+        for block in (balanced_block(n), 1)[: 2 if n < 16 else 1]:
+            fam = linked_cubes(n, block)
+            yield fam
+            # punctured at a minimal member: its supersets may become minimal
+            yield SetFamily(fam.n, fam.bitmap & ~(1 << next(iter(fam))))
+            yield SetFamily(fam.n, fam.bitmap & ~(1 << (fam.bitmap.bit_length() - 1)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_of_is_the_ascending_fold_on_up_closed_families(k, mode):
+    families = list(up_closed_families(k, mode))
+    assert any(above_pass_bound(f) for f in families)
+    assert any(not above_pass_bound(f) for f in families)
+    for fam in families:
+        assert_of_is_the_ascending_fold(fam, k, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_of_is_the_ascending_fold_on_the_star_at_n16(mode):
+    assert_of_is_the_ascending_fold(star(16), 3, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_of_is_the_ascending_fold_on_antichains_and_random_families(k, mode):
+    for n in (4, 8, 12):
+        # the middle layer has no member inside another, so nothing is skipped
+        assert_of_is_the_ascending_fold(uniform(n, n // 2), k, mode)
+    rng = random.Random(k)
+    # n * 2^n / 2^12 = 56 members at n = 14: families on both sides of the bound
+    for count, above in ((30, False), (120, True)):
+        fam = with_supersets(14, [rng.getrandbits(14) for _ in range(count)], rng)
+        assert above_pass_bound(fam) == above
+        assert_of_is_the_ascending_fold(fam, k, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n, k", [(1, 4), (1, 7), (2, 6), (2, 9)])
+def test_of_is_the_ascending_fold_past_the_last_layer(n, k, mode):
+    # k > 2^n + 1: the state keeps 2^n + 1 layers, one more than any family fills
+    for bm in range(1 << (1 << n)):
+        assert_of_is_the_ascending_fold(SetFamily(n, bm), k, mode)
+
+
+@given(small_families(), st.integers(2, 5), st.sampled_from(MODES), st.booleans())
+@settings(deadline=None, max_examples=300)
+def test_of_is_the_ascending_fold_on_small_families(fam, k, mode, close):
+    if close:
+        fam = SetFamily(fam.n, up_close_bits(fam.bitmap, fam.n))
+    assert_of_is_the_ascending_fold(fam, k, mode)
