@@ -47,6 +47,12 @@ def check_element(i: int, n: int) -> None:
         raise ValueError(f"element {i!r} out of range 1..{n}")
 
 
+def check_mask(m: int, n: int) -> None:
+    """Reject anything but an int mask in 0..2^n - 1; a bool is no mask."""
+    if type(m) is not int or not 0 <= m <= full_mask(n):
+        raise ValueError(f"mask {m!r} out of range 0..{full_mask(n)}")
+
+
 def family_full_bitmap(n: int) -> int:
     """Bitmap with every one of the 2^n masks present."""
     return (1 << (1 << n)) - 1

@@ -89,7 +89,7 @@ def _family_payload(family: SetFamily, sidecar_dir: Path) -> Any:
 
 
 def _cmd_check(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    mode = KwiseMode.parse(args.mode)
+    mode = KwiseMode(args.mode)
     fam = _parse_family(args.n, args.family)
     state = ReachState.of(fam, args.k, mode)
     kwise = state.intersecting()
@@ -107,7 +107,7 @@ def _cmd_check(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
 
 def _cmd_closure(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    mode = KwiseMode.parse(args.mode)
+    mode = KwiseMode(args.mode)
     fam = _parse_family(args.n, args.family)
     closed = maximal_closure(fam, args.k, mode)
     params = {"n": args.n, "k": args.k, "mode": mode.value, "family": args.family}
@@ -192,7 +192,7 @@ def _cmd_stats(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
 
 def _cmd_search_min(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    mode = KwiseMode.parse(args.mode)
+    mode = KwiseMode(args.mode)
     config = SearchConfig(n=args.n, k=args.k, mode=mode, budget=args.budget)
     report = search_min(config)
     params = {"n": args.n, "k": args.k, "mode": mode.value, "budget": args.budget}

@@ -12,20 +12,14 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .bitops import (
+    check_mask,
     cube_bits,
     full_mask,
     mask_complement,
     mask_from_elements,
     supercube_bits,
 )
-from .core import SetFamily
-
-
-def _check_block(n: int, s: int, proper: bool = True) -> None:
-    if not 0 <= s <= full_mask(n):
-        raise ValueError(f"block mask {s} out of range for ground size {n}")
-    if proper and s in (0, full_mask(n)):
-        raise ValueError("block must be a proper nonempty subset of the ground set")
+from .core import SetFamily, _check_k
 
 
 def linked_cubes(n: int, s: int) -> SetFamily:
@@ -34,7 +28,9 @@ def linked_cubes(n: int, s: int) -> SetFamily:
     Requires 0 < |S| < n.  Size is 2^(n-|S|) + 2^|S| - 3: each up cube
     minus its base point, with the full ground set shared.
     """
-    _check_block(n, s)
+    check_mask(s, n)
+    if s in (0, full_mask(n)):
+        raise ValueError("block must be a proper nonempty subset of the ground set")
     sc = mask_complement(s, n)
     bm = (supercube_bits(s, n) & ~(1 << s)) | (supercube_bits(sc, n) & ~(1 << sc))
     return SetFamily(n, bm)
@@ -42,7 +38,7 @@ def linked_cubes(n: int, s: int) -> SetFamily:
 
 def pair_of_cubes(n: int, s: int) -> SetFamily:
     """All subsets of S together with all subsets of its complement."""
-    _check_block(n, s, proper=False)
+    check_mask(s, n)
     sc = mask_complement(s, n)
     return SetFamily(n, cube_bits(s) | cube_bits(sc))
 
@@ -75,6 +71,7 @@ class Partition:
     def __post_init__(self):
         union = 0
         for b in self.blocks:
+            check_mask(b, self.n)
             if b == 0:
                 raise ValueError("partition blocks must be nonempty")
             if b & union:
@@ -123,20 +120,17 @@ def series_of_cubes_size(n: int, parts: int) -> int:
     return parts * (1 << (n // parts)) - parts + 1
 
 
-def formula_min_size_bounds(
-    n: int, k: int, lower_coeff: int = 1, upper_coeff: int = 1
-) -> Tuple[int, int]:
-    """Reference envelope lower_coeff*2^(n/(k-1)) and upper_coeff*2^(n/ceil(k/2)).
+def formula_min_size_bounds(n: int, k: int) -> Tuple[int, int]:
+    """Reference envelope 2^(n/(k-1)) and 2^(n/ceil(k/2)).
 
     Both exponents must be integers; a non-divisible n is rejected rather
     than evaluated at a rational exponent.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    _check_k(k)
     _require_divisible(n, k - 1, "k-1")
     upper_div = -(-k // 2)
     _require_divisible(n, upper_div, "ceil(k/2)")
-    return lower_coeff * (1 << (n // (k - 1))), upper_coeff * (1 << (n // upper_div))
+    return 1 << (n // (k - 1)), 1 << (n // upper_div)
 
 
 def janzer_size(n: int, k: int) -> int:

@@ -18,6 +18,7 @@ from .bitops import (
     MAX_FAMILY_GROUND,
     check_element,
     check_ground,
+    check_mask,
     cube_bits,
     family_full_bitmap,
     full_mask,
@@ -44,13 +45,6 @@ class KwiseMode(enum.Enum):
     DISTINCT = "distinct"
     WITH_REPETITION = "repetition"
 
-    @classmethod
-    def parse(cls, text: str) -> "KwiseMode":
-        for mode in cls:
-            if mode.value == text:
-                return mode
-        raise ValueError(f"unknown mode {text!r}; expected 'distinct' or 'repetition'")
-
 
 class SetFamily:
     """Immutable family of subsets of {1..n} backed by a membership bitmap."""
@@ -59,7 +53,7 @@ class SetFamily:
 
     def __init__(self, n: int, bitmap: int = 0):
         check_ground(n)
-        if not 0 <= bitmap < (1 << (1 << n)):
+        if not (type(bitmap) is int and bitmap >= 0 and bitmap.bit_length() <= 1 << n):
             raise ValueError(f"bitmap out of range for ground size {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bitmap", bitmap)
@@ -69,14 +63,12 @@ class SetFamily:
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":
+        """The family of the given masks; each must pass bitops.check_mask."""
         check_ground(n)
-        bm = 0
-        top = full_mask(n)
+        masks = list(masks)
         for m in masks:
-            if not 0 <= m <= top:
-                raise ValueError(f"mask {m} out of range for ground size {n}")
-            bm |= 1 << m
-        return cls(n, bm)
+            check_mask(m, n)
+        return cls(n, _bitmap_of(masks, n))
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "SetFamily":

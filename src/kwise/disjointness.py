@@ -140,20 +140,16 @@ def stability_stats(
     scale = 1 << ell
     alpha = Fraction(len(x_family), scale)
     beta = Fraction(len(y_family), scale)
-    x_ratios = tuple(
-        Fraction(len(restrict_plus(x_family, i)), len(x_family))
-        for i in range(1, n + 1)
-    )
-    y_ratios = tuple(
-        Fraction(len(restrict_plus(y_family, i)), len(y_family))
-        for i in range(1, n + 1)
-    )
-    threshold_x = sum(
-        1 << (i - 1) for i in range(1, n + 1) if x_ratios[i - 1] >= STABILITY_THRESHOLD
-    )
-    threshold_y = sum(
-        1 << (i - 1) for i in range(1, n + 1) if y_ratios[i - 1] >= STABILITY_THRESHOLD
-    )
+
+    def ratios_and_threshold(family: SetFamily) -> Tuple[Tuple[Fraction, ...], int]:
+        ratios = tuple(
+            Fraction(len(restrict_plus(family, i)), len(family)) for i in range(1, n + 1)
+        )
+        threshold = sum(1 << i for i, r in enumerate(ratios) if r >= STABILITY_THRESHOLD)
+        return ratios, threshold
+
+    x_ratios, threshold_x = ratios_and_threshold(x_family)
+    y_ratios, threshold_y = ratios_and_threshold(y_family)
     if partition is not None:
         if partition.n != n or len(partition.blocks) < 2:
             raise ValueError("partition must split the same ground set into two or more blocks")
@@ -226,10 +222,9 @@ def audit_lemma_size_premises(
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     scale = 1 << ell
-    bit = 1 << (elem - 1)
     checks: List[PremiseCheck] = []
     for name, fam in (("x", x_family), ("y", y_family)):
-        with_elem = sum(1 for m in fam.members() if m & bit)
+        with_elem = len(restrict_plus(fam, elem))
         without = len(fam) - with_elem
         for label, count, target in (
             (f"{name}_size", len(fam), Fraction(3, 2)),
@@ -252,20 +247,18 @@ class BipartizationResult:
 
 
 MAX_EXACT_CUT_VERTICES = 24
+MAX_HEURISTIC_MOVES = 20000
 
 
 def min_bipartization(
-    graph: DisjointnessGraph,
-    mode: str = "exact",
-    budget: int = 20000,
-    seed: int = 0,
+    graph: DisjointnessGraph, mode: str = "exact", seed: int = 0
 ) -> BipartizationResult:
     """Fewest edge deletions making the graph bipartite, with a witness split.
 
     Exact mode scores all cuts (vertex zero pinned to one side) in one
     packed int and is capped at 24 vertices.  Heuristic mode runs a seeded
     local search over single-vertex moves and stops at a local optimum or
-    after the given number of move evaluations; its result is an upper
+    after MAX_HEURISTIC_MOVES move evaluations; its result is an upper
     bound.
     """
     if graph.bipartite:
@@ -280,7 +273,7 @@ def min_bipartization(
         assignment = _exact_max_cut(m, edges)
         exact = True
     elif mode == "heuristic":
-        assignment = _local_search_cut(m, edges, budget, seed)
+        assignment = _local_search_cut(m, edges, seed)
         exact = False
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'heuristic'")
@@ -340,7 +333,7 @@ def _exact_max_cut(m: int, edges: List[Tuple[int, int]]) -> int:
     return ((hits & -hits).bit_length() - 1) // w << 1
 
 
-def _local_search_cut(m: int, edges: List[Tuple[int, int]], budget: int, seed: int) -> int:
+def _local_search_cut(m: int, edges: List[Tuple[int, int]], seed: int) -> int:
     if m == 0:
         return 0
     rng = random.Random(seed)
@@ -351,7 +344,7 @@ def _local_search_cut(m: int, edges: List[Tuple[int, int]], budget: int, seed: i
     assignment = rng.getrandbits(m)
     spent = 0
     improved = True
-    while improved and spent < budget:
+    while improved and spent < MAX_HEURISTIC_MOVES:
         improved = False
         order = list(range(m))
         rng.shuffle(order)
@@ -367,6 +360,6 @@ def _local_search_cut(m: int, edges: List[Tuple[int, int]], budget: int, seed: i
             if same > other:
                 assignment ^= 1 << vtx
                 improved = True
-            if spent >= budget:
+            if spent >= MAX_HEURISTIC_MOVES:
                 break
     return assignment

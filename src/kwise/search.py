@@ -29,11 +29,13 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from .bitops import (
     _swap_index_bits,
     check_ground,
+    check_mask,
     cube_bits,
     family_full_bitmap,
     full_mask,
     iter_bits,
     mask_complement,
+    submasks,
     supercube_bits,
 )
 from .constructions import balanced_block, linked_cubes, linked_cubes_size, pair_of_cubes
@@ -223,11 +225,11 @@ class _BranchAndBound:
     mask that has an already-chosen subset.  Pruning: partial families
     whose members already intersect to the empty set somewhere in the
     first k layers, partial families too large to beat the incumbent, and
-    (optionally) partial assignments that a relabeling of the first j
-    coordinates beats stage by stage (masks below 4, then below 8, ...,
-    then below 2^j) once every mask below 2^j is decided; the relabelings
-    come from the same swap scan as the canonical form.  Leaves with at
-    least k members get a full maximality check.
+    partial assignments that a relabeling of the first j coordinates beats
+    stage by stage (masks below 4, then below 8, ..., then below 2^j) once
+    every mask below 2^j is decided; the relabelings come from the same
+    swap scan as the canonical form.  Leaves with at least k members get a
+    full maximality check.
     """
 
     def __init__(
@@ -236,7 +238,6 @@ class _BranchAndBound:
         k: int,
         mode: KwiseMode,
         deadline: float,
-        symmetry: bool,
         best: Optional[int] = None,
         found: Optional[List[int]] = None,
     ):
@@ -244,7 +245,6 @@ class _BranchAndBound:
         self.k = k
         self.mode = mode
         self.deadline = deadline
-        self.symmetry = symmetry
         self.count = 1 << n
         self.checkpoints: Dict[int, int] = {1 << j: j for j in range(2, n + 1)}
         self.best = best
@@ -270,7 +270,7 @@ class _BranchAndBound:
             raise _BudgetExceeded
         if self._too_big(state.size):
             return
-        if self.symmetry and d in self.checkpoints:
+        if d in self.checkpoints:
             if not self._region_minimal(state.members, self.checkpoints[d]):
                 return
         if d == self.count:
@@ -334,7 +334,7 @@ def search_min(config: SearchConfig) -> SearchReport:
         interrupted = True
 
     if not interrupted:
-        engine = _BranchAndBound(n, k, mode, deadline, symmetry=True, best=best, found=found)
+        engine = _BranchAndBound(n, k, mode, deadline, best=best, found=found)
         interrupted = not engine.run()
         nodes += engine.nodes
         best, found = engine.best, engine.found
@@ -472,20 +472,15 @@ def decompose_min_h(family: SetFamily, a: int, s: int) -> Optional[Tuple[int, in
     b & c = 0, returns the one with least h_value, ties broken by smaller
     then larger mask.  None when no such pair exists.
     """
-    if a < 0 or a > full_mask(family.n):
-        raise ValueError(f"mask {a} out of range for n={family.n}")
+    check_mask(a, family.n)
     bitmap = family.bitmap
     best: Optional[Tuple[int, int, int]] = None
-    sub = a
-    while True:
+    for sub in submasks(a):
         rest = a ^ sub
         if sub <= rest and (bitmap >> sub) & 1 and (bitmap >> rest) & 1:
             cand = (h_value(sub, rest, s), sub, rest)
             if best is None or cand < best:
                 best = cand
-        if sub == 0:
-            break
-        sub = (sub - 1) & a
     if best is None:
         return None
     return best[1], best[2]
@@ -502,8 +497,7 @@ def partition_relative_to_cubes(
     set fall in no part.
     """
     n = g.n
-    if s < 0 or s > full_mask(n):
-        raise ValueError(f"mask {s} out of range for n={n}")
+    check_mask(s, n)
     sc = mask_complement(s, n)
     cube_s = cube_bits(s)
     cube_sc = cube_bits(sc)
@@ -573,7 +567,8 @@ def audit_claim_counts(family: SetFamily, s: int, eps) -> ClaimCountsReport:
     n = family.n
     if n % 2 == 0:
         raise ValueError("audit requires an odd ground size")
-    if s <= 0 or s >= full_mask(n):
+    check_mask(s, n)
+    if s in (0, full_mask(n)):
         raise ValueError("split block must be a proper nonempty subset")
     eps = _exact_eps(eps)
     if eps < 0:

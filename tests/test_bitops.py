@@ -11,9 +11,14 @@ from hypothesis import strategies as st
 from kwise import (
     Partition,
     SetFamily,
+    audit_claim_counts,
     audit_lemma_size_premises,
     build_graph,
     count_edges_touching,
+    decompose_min_h,
+    linked_cubes,
+    pair_of_cubes,
+    partition_relative_to_cubes,
     restrict_minus,
     restrict_plus,
     stability_stats,
@@ -86,6 +91,43 @@ def test_element_labels_are_checked_alike(entry, label):
     """bool is an int subclass, but no element label; 0 and n + 1 are out of range."""
     with pytest.raises(ValueError, match=re.escape(f"element {label} out of range 1..3")):
         ELEMENT_ENTRY_POINTS[entry](label)
+
+
+MASK_ENTRY_POINTS = {
+    "from_masks": lambda m: SetFamily.from_masks(3, [0, m]),
+    "linked_cubes": lambda m: linked_cubes(3, m),
+    "pair_of_cubes": lambda m: pair_of_cubes(3, m),
+    "Partition": lambda m: Partition(3, (m, 0b110)),
+    "decompose_min_h": lambda m: decompose_min_h(FAM3, m, 0b001),
+    "partition_relative_to_cubes": lambda m: partition_relative_to_cubes(FAM3, m),
+    "audit_claim_counts": lambda m: audit_claim_counts(FAM3, m, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MASK_ENTRY_POINTS))
+@pytest.mark.parametrize("mask", [True, -1, 8, 1.0])
+def test_masks_are_checked_alike(entry, mask):
+    """A mask is an int in 0..2^n - 1: no bool, no float, nothing outside."""
+    with pytest.raises(ValueError, match=re.escape(f"mask {mask!r} out of range 0..7")):
+        MASK_ENTRY_POINTS[entry](mask)
+
+
+@pytest.mark.parametrize("bitmap", [1.5, True, -1, 1 << 8])
+def test_bitmaps_are_ints_of_at_most_2_to_the_n_bits(bitmap):
+    with pytest.raises(ValueError, match="bitmap out of range for ground size 3"):
+        SetFamily(3, bitmap)
+    assert SetFamily(3, (1 << 8) - 1).size == 8
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_from_masks_is_the_or_of_its_masks(data):
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    masks = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=40))
+    masks += masks[::2]  # every other mask twice
+    want = bitmap_of(masks)
+    assert SetFamily.from_masks(n, masks).bitmap == want
+    assert SetFamily.from_masks(n, (m for m in masks)).bitmap == want
 
 
 def test_full_and_complement():

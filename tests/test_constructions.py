@@ -140,7 +140,6 @@ def test_series_covers_every_set_blockwise():
 
 def test_formula_min_size_bounds():
     assert formula_min_size_bounds(6, 3) == (8, 8)
-    assert formula_min_size_bounds(6, 3, lower_coeff=2, upper_coeff=3) == (16, 24)
     assert formula_min_size_bounds(6, 4) == (4, 8)
     with pytest.raises(ValueError):
         formula_min_size_bounds(5, 3)

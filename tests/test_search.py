@@ -296,33 +296,27 @@ def test_search_config_validation():
 
 def test_branch_and_bound_finds_upclosed_minima():
     """Driven directly with no incumbent, the engine reports the smallest
-    maximal family with at least k members; those are upward closed, so the
-    exhaustive up-set enumeration is the reference."""
+    maximal family with at least k members, one labeled leaf or more per
+    isomorphism class; those are upward closed, so the exhaustive up-set
+    enumeration is the reference for both the size and the classes."""
     for n, k, want in [(3, 3, 4), (4, 3, 5), (4, 4, 8)]:
-        ref = min(
-            len(fam)
-            for fam in enumerate_maximal_families(n, k, DISTINCT)
-            if len(fam) >= k
-        )
-        assert ref == want
-        canon_sets = []
-        for symmetry in (True, False):
-            eng = _BranchAndBound(n, k, DISTINCT, time.monotonic() + 120, symmetry)
-            assert eng.run()
-            assert eng.best == want
-            for bm in eng.found:
-                fam = SetFamily(n, bm)
-                assert len(fam) == want
-                assert up_close_bits(bm, n) == bm
-                assert _naive_is_maximal(n, list(fam), k, DISTINCT)
-            canon_sets.append(
-                {canonical_form(SetFamily(n, bm)).bitmap for bm in eng.found}
-            )
-        assert canon_sets[0] == canon_sets[1]
+        ref = [fam for fam in enumerate_maximal_families(n, k, DISTINCT) if len(fam) >= k]
+        assert min(len(fam) for fam in ref) == want
+        eng = _engine(n, k, DISTINCT)
+        assert eng.run()
+        assert eng.best == want
+        for bm in eng.found:
+            fam = SetFamily(n, bm)
+            assert len(fam) == want
+            assert up_close_bits(bm, n) == bm
+            assert _naive_is_maximal(n, list(fam), k, DISTINCT)
+        assert {canonical_form(SetFamily(n, bm)).bitmap for bm in eng.found} == {
+            canonical_form(fam).bitmap for fam in ref if len(fam) == want
+        }
 
 
-def _engine(n, k, mode, symmetry=True):
-    return _BranchAndBound(n, k, mode, time.monotonic() + 120, symmetry)
+def _engine(n, k, mode):
+    return _BranchAndBound(n, k, mode, time.monotonic() + 120)
 
 
 @pytest.mark.parametrize(
