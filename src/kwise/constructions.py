@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .bitops import (
+    check_ground,
     check_mask,
     cube_bits,
     full_mask,
@@ -28,6 +29,7 @@ def linked_cubes(n: int, s: int) -> SetFamily:
     Requires 0 < |S| < n.  Size is 2^(n-|S|) + 2^|S| - 3: each up cube
     minus its base point, with the full ground set shared.
     """
+    check_ground(n)
     check_mask(s, n)
     if s in (0, full_mask(n)):
         raise ValueError("block must be a proper nonempty subset of the ground set")
@@ -38,6 +40,7 @@ def linked_cubes(n: int, s: int) -> SetFamily:
 
 def pair_of_cubes(n: int, s: int) -> SetFamily:
     """All subsets of S together with all subsets of its complement."""
+    check_ground(n)
     check_mask(s, n)
     sc = mask_complement(s, n)
     return SetFamily(n, cube_bits(s) | cube_bits(sc))
@@ -69,6 +72,7 @@ class Partition:
     blocks: Tuple[int, ...]
 
     def __post_init__(self):
+        check_ground(self.n)
         union = 0
         for b in self.blocks:
             check_mask(b, self.n)

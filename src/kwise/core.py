@@ -95,8 +95,9 @@ class SetFamily:
     def __len__(self) -> int:
         return self.size
 
-    def __contains__(self, mask: int) -> bool:
-        return 0 <= mask < (1 << self.n) and (self.bitmap >> mask) & 1 == 1
+    def __contains__(self, mask: object) -> bool:
+        """Whether mask is a member; anything but an int mask in range is not."""
+        return type(mask) is int and 0 <= mask < (1 << self.n) and (self.bitmap >> mask) & 1 == 1
 
     def members(self) -> Iterator[int]:
         """Member masks in ascending order."""

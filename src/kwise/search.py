@@ -27,7 +27,7 @@ from functools import reduce
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .bitops import (
-    _swap_index_bits,
+    _relabelings,
     check_ground,
     check_mask,
     cube_bits,
@@ -59,49 +59,27 @@ def canonical_form(family: SetFamily) -> SetFamily:
     """Least relabeling of the family over all coordinate permutations.
 
     Relabeled copies of a family share one canonical form, so equality of
-    canonical forms decides isomorphism.  The scan is factorial in n and
-    capped accordingly.
+    canonical forms decides isomorphism.  The form is the least of the n!
+    bitmaps of the swap walk `bitops._relabelings`, so the scan is
+    factorial in n and capped accordingly.
     """
     n = family.n
     if n > MAX_CANONICAL_GROUND:
         raise ValueError(f"canonical form capped at n={MAX_CANONICAL_GROUND}, got {n}")
-    return SetFamily(n, _least_relabeling(n, family.bitmap, set()))
-
-
-def _relabelings(bitmap: int, j: int, n: int) -> Iterator[int]:
-    """The j! relabelings of a family bitmap under permutations of coordinates 0..j-1.
-
-    In Heap's order ("Permutations by interchanges", 1963) each one is the
-    one before with two coordinates swapped: one pass over the bitmap.
-    """
-    yield bitmap
-    c = [0] * j
-    i = 1
-    while i < j:
-        if c[i] < i:
-            bitmap = _swap_index_bits(bitmap, c[i] if i & 1 else 0, i, n)
-            yield bitmap
-            c[i] += 1
-            i = 1
-        else:
-            c[i] = 0
-            i += 1
+    return SetFamily(n, min(_relabelings(family.bitmap, n, n)))
 
 
 def _least_relabeling(n: int, bitmap: int, pending: Set[int]) -> int:
-    """Least bitmap among the n! relabelings of a family bitmap.
+    """Least bitmap among the n! relabelings of a family bitmap, for the
+    witness strike-off of search_min.
 
-    Every relabeling the scan meets is also discarded from pending, so a
+    Every relabeling the walk meets is also discarded from pending, so a
     caller holding many labeled copies of a few classes scans each class
-    once.  Each relabeling costs one bitmap swap, whatever the members.
+    once.
     """
-    discard = pending.discard
-    best = bitmap
-    for bm in _relabelings(bitmap, n, n):
-        if bm < best:
-            best = bm
-        discard(bm)
-    return best
+    copies = set(_relabelings(bitmap, n, n))
+    pending.difference_update(copies)
+    return min(copies)
 
 
 def enumerate_upsets(n: int) -> List[int]:
@@ -297,10 +275,22 @@ class _BranchAndBound:
             self.found.append(state.members)
 
     def _region_minimal(self, members: int, j: int) -> bool:
-        """Whether no relabeling of the members' first j coordinates is smaller stage by stage."""
+        """Whether no relabeling of the members' first j coordinates is smaller stage by stage.
+
+        Stage i holds the masks below 2^i, for i = 1..j.  Each relabeling is
+        compared with the members at the first stage where the two differ,
+        and the first smaller one ends the walk.
+        """
         stages = [(1 << (1 << i)) - 1 for i in range(1, j + 1)]
         base = [members & sm for sm in stages]
-        return all([bm & sm for sm in stages] >= base for bm in _relabelings(members, j, j))
+        for bm in _relabelings(members, j, j):
+            for sm, low in zip(stages, base):
+                cut = bm & sm
+                if cut != low:
+                    if cut < low:
+                        return False
+                    break
+        return True
 
 
 def search_min(config: SearchConfig) -> SearchReport:

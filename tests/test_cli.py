@@ -306,6 +306,12 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1 and "0-9a-f" in err and out == ""
 
 
+@pytest.mark.parametrize("construction", ["linked-cubes", "pair-of-cubes", "series-of-cubes"])
+def test_construct_rejects_oversized_ground(capsys, construction):
+    code, out, err = run(capsys, "construct", construction, "--n", "40", "--parts", "1")
+    assert code == 1 and "ground size" in err and out == ""
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf"])
 def test_search_min_rejects_non_finite_budget(tmp_path, capsys, budget):
     ledger = tmp_path / "runs.jsonl"

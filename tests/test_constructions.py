@@ -1,5 +1,7 @@
 """Cube-based reference constructions: membership, size laws, validation."""
 
+import tracemalloc
+
 import pytest
 
 from kwise import (
@@ -62,6 +64,25 @@ def test_linked_cubes_validation():
         linked_cubes(3, 0b111)
     with pytest.raises(ValueError):
         linked_cubes(3, 1 << 3)
+
+
+@pytest.mark.parametrize("n", [27, 40])
+def test_oversized_ground_rejected_before_any_bitmap(n):
+    """The ground size is checked first: no 2^n-bit bitmap is built."""
+    tracemalloc.start()
+    try:
+        for build in (
+            lambda: linked_cubes(n, 1),
+            lambda: pair_of_cubes(n, 1),
+            lambda: Partition(n, (full_mask(n),)),
+            lambda: Partition.contiguous(n, 1),
+        ):
+            with pytest.raises(ValueError, match="ground size"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pair_of_cubes_membership():

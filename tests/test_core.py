@@ -121,6 +121,15 @@ def test_membership_and_sizes():
         SetFamily.from_masks(2, [4])
 
 
+def test_membership_of_non_masks_is_false():
+    """Only an int mask can be a member: no TypeError for a float, and a bool is no mask."""
+    fam = SetFamily(3, 0b10110110)
+    assert 1 in fam and 2 in fam
+    assert 1.0 not in fam
+    assert True not in fam
+    assert -1 not in fam and 8 not in fam
+
+
 def test_complement_family_involution():
     fam = SetFamily.from_masks(3, [0b001, 0b110, 0b111])
     cf = complement_family(fam)

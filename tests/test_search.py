@@ -34,7 +34,13 @@ from kwise import (
     supercube_bits,
     up_close_bits,
 )
-from kwise.search import _BranchAndBound, _below_k_maximal, _naive_is_maximal, _relabelings
+from kwise.search import (
+    _BranchAndBound,
+    _below_k_maximal,
+    _least_relabeling,
+    _naive_is_maximal,
+    _relabelings,
+)
 
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
@@ -111,6 +117,59 @@ def test_relabelings_are_the_permuted_copies(n):
                 for perm in itertools.permutations(range(j))
             )
             assert sorted(_relabelings(bm, j, n)) == want
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        SetFamily(6, 1 | 1 << full_mask(6)),
+        SetFamily(6, supercube_bits(0b000100, 6)),
+        linked_cubes(6, balanced_block(6)),
+    ],
+    ids=["empty-and-full", "star", "linked-cubes"],
+)
+def test_canonical_form_of_symmetric_families(fam):
+    """Many relabelings of these families tie; the least is still the brute-force one."""
+    assert canonical_form(fam) == brute_canonical(fam)
+
+
+def strike_off(n, found):
+    """The witness strike-off of search_min: one scan per class still pending."""
+    pending = set(found)
+    return [_least_relabeling(n, bm, pending) for bm in found if bm in pending]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_strike_off_gives_one_form_per_class(seed):
+    """Labeled copies of a few classes, shuffled, reduce to exactly the
+    brute-force canonical forms, one per class."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    found = []
+    for _ in range(rng.randint(1, 4)):
+        fam = SetFamily(n, rng.getrandbits(1 << n))
+        for _ in range(rng.randint(1, 5)):
+            found.append(relabel(fam, tuple(rng.sample(range(n), n))).bitmap)
+    rng.shuffle(found)
+    want = {brute_canonical(SetFamily(n, bm)).bitmap for bm in found}
+    forms = strike_off(n, found)
+    assert len(forms) == len(want)
+    assert set(forms) == want
+
+
+def test_scan_strikes_off_every_relabeling():
+    """After a scan, pending holds no relabeling of the scanned bitmap and
+    keeps every bitmap of another class."""
+    n = 4
+    fam = SetFamily.from_masks(n, [0b0001, 0b0011, 0b0111])
+    other = SetFamily.from_masks(n, [0b0001, 0b0010, 0b0111])
+    assert canonical_form(fam) != canonical_form(other)
+    perms = list(itertools.permutations(range(n)))
+    copies = {relabel(fam, perm).bitmap for perm in perms}
+    others = {relabel(other, perm).bitmap for perm in perms}
+    pending = copies | others
+    assert _least_relabeling(n, fam.bitmap, pending) == canonical_form(fam).bitmap
+    assert pending == others
 
 
 def test_canonical_form_cap():
