@@ -255,8 +255,10 @@ def min_bipartization(
 ) -> BipartizationResult:
     """Fewest edge deletions making the graph bipartite, with a witness split.
 
-    Exact mode scores all cuts (vertex zero pinned to one side) in one
-    packed int and is capped at 24 vertices.  Heuristic mode runs a seeded
+    Exact mode peels the pendant trees off, whose edges every maximum cut
+    cuts, and scores all cuts of the remaining 2-core (one vertex pinned to
+    one side) in one packed int: O(2^c) bit work for a core of c vertices.
+    It is capped at 24 vertices in all.  Heuristic mode runs a seeded
     local search over single-vertex moves and stops at a local optimum or
     after MAX_HEURISTIC_MOVES move evaluations; its result is an upper
     bound.
@@ -291,6 +293,69 @@ _CUT_FIELD = math.comb(MAX_EXACT_CUT_VERTICES, 2).bit_length() + 1
 def _exact_max_cut(m: int, edges: List[Tuple[int, int]]) -> int:
     """Lowest-index maximum cut, vertex 0 pinned to the left side.
 
+    Vertices of degree <= 1 are peeled off first, repeatedly.  A peeled
+    vertex with a neighbour p left sits opposite p in every maximum cut,
+    since it adds a cut edge to any cut of the rest, so each vertex is a
+    copy or a negation of a variable: a vertex of the 2-core, or the last
+    vertex peeled from a tree component, which is free.  Read from the
+    highest index down, the lowest-index rule prefers, for each variable,
+    the value that puts its highest vertex on the left, variables ranked
+    by that vertex.  The packed kernel finds every maximum cut of the core
+    with one variable pinned: vertex 0's when it lies on the core, else the
+    highest-ranked, at its preferred value, since complementing a cut keeps
+    it maximum.  Its cost is O(2^c) in the core size c.
+    """
+    if not edges:
+        return 0
+    adjacent = [0] * m
+    for u, v in edges:
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
+    core = (1 << m) - 1
+    peeled = []
+    opposite = [-1] * m  # the neighbour a vertex had when it was peeled
+    stack = [v for v in range(m) if adjacent[v].bit_count() <= 1]
+    while stack:
+        v = stack.pop()
+        if not core >> v & 1:
+            continue
+        core ^= 1 << v
+        peeled.append(v)
+        rest = adjacent[v] & core
+        if rest:
+            p = opposite[v] = rest.bit_length() - 1
+            if (adjacent[p] & core).bit_count() <= 1:
+                stack.append(p)
+    # vertex v holds the value of variable root[v], negated when flip[v]
+    root = list(range(m))
+    flip = [0] * m
+    for v in reversed(peeled):
+        p = opposite[v]
+        if p >= 0:
+            root[v], flip[v] = root[p], flip[p] ^ 1
+    top = list(range(m))  # each variable's highest vertex
+    for v in range(m):
+        top[root[v]] = v
+    value = [flip[top[r]] for r in range(m)]  # each variable's preferred value
+    value[root[0]] = flip[0]
+    if core:
+        members = [v for v in range(m) if core >> v & 1]
+        pin = root[0] if core >> root[0] & 1 else max(members, key=top.__getitem__)
+        order = [pin] + sorted((v for v in members if v != pin), key=top.__getitem__)
+        position = {v: i for i, v in enumerate(order)}
+        core_edges = [(position[u], position[v]) for u, v in edges if core >> u & core >> v & 1]
+        # the kernel pins its vertex 0 left: complement when pin goes right
+        prefer = sum((value[v] ^ value[pin]) << i for i, v in enumerate(order))
+        cut = _packed_max_cut(len(order), core_edges, prefer)
+        for i, v in enumerate(order):
+            value[v] = (cut >> i & 1) ^ value[pin]
+    return sum((value[root[v]] ^ flip[v]) << v for v in range(m))
+
+
+def _packed_max_cut(m: int, edges: List[Tuple[int, int]], prefer: int) -> int:
+    """The maximum cut with vertex 0 left that agrees with prefer on the
+    highest vertex, then on the next, as far as some maximum cut does.
+
     Before vertex j is added, one int packs a _CUT_FIELD-bit field per
     assignment S of vertices 1..j-1 (vertex i on bit i-1), holding the cut
     value of S.  Adding j doubles the int: its lower half puts j on the
@@ -298,10 +363,9 @@ def _exact_max_cut(m: int, edges: List[Tuple[int, int]]) -> int:
     upper half puts j on the right and gains the other lower neighbours.
     a is built by the same doubling, so vertex j costs O(2^j) bit work
     whatever its degree.  The maximum is found by a guard-bit threshold
-    test, and the lowest field that holds it is the answer.
+    test; halving the fields that reach it from the top vertex down picks
+    the preferred one.
     """
-    if m <= 1 or not edges:
-        return 0
     w = _CUT_FIELD
     lower = [0] * m  # bitset of each vertex's lower neighbours
     for u, v in edges:
@@ -330,7 +394,17 @@ def _exact_max_cut(m: int, edges: List[Tuple[int, int]]) -> int:
         else:
             hi = mid - 1
     hits = reaching(lo)
-    return ((hits & -hits).bit_length() - 1) // w << 1
+    chosen = 0
+    for j in range(m - 1, 0, -1):
+        half = w << (j - 1)  # vertex j right: the upper half of the fields
+        upper = hits >> half
+        lower_half = hits & ((1 << half) - 1)
+        if prefer >> j & 1 and upper or not lower_half:
+            chosen |= 1 << j
+            hits = upper
+        else:
+            hits = lower_half
+    return chosen
 
 
 def _local_search_cut(m: int, edges: List[Tuple[int, int]], seed: int) -> int:

@@ -117,17 +117,18 @@ def _below_k_maximal(n: int, k: int, mode: KwiseMode) -> Iterator[Tuple[int, int
     fail: m is blocked exactly when it misses I, the common intersection.
     The family is maximal when every non-member misses I and it passes
     itself: always in DISTINCT mode, with repetition at one member or I != 0.
+    Every member contains I, so for I != 0 the first condition says the
+    family is all 2^n - 2^(n - |I|) sets meeting I, which its size decides.
     """
     count = 1 << n
-    top = full_mask(n)
-    full = family_full_bitmap(n)
     distinct = mode is KwiseMode.DISTINCT
     for size in range(_first_below_k_size(n, k, mode), min(k, count + 1)):
         for combo in itertools.combinations(range(count), size):
             common = reduce(operator.and_, combo)
-            bm = sum(1 << m for m in combo)
-            maximal = (distinct or size == 1 or common) and bm | cube_bits(top ^ common) == full
-            yield size, bm if maximal else 0
+            maximal = (distinct or size == 1 or common) and (
+                not common or size == count - (1 << (n - common.bit_count()))
+            )
+            yield size, sum(1 << m for m in combo) if maximal else 0
 
 
 def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamily]:

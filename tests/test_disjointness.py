@@ -2,8 +2,10 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -216,6 +218,117 @@ def test_exact_max_cut_complete_graphs(m):
     got = _exact_max_cut(m, edges)
     assert got == ((1 << m // 2) - 1) << 1
     assert cut_value(got, edges) == (m // 2) * ((m + 1) // 2)
+
+
+def lowest_max_cut(m, edges):
+    """The lowest assignment, vertex 0 left, that cuts the most edges."""
+    return -max((cut_value(s << 1, edges), -(s << 1)) for s in range(1 << max(m - 1, 0)))[1]
+
+
+def path(*vertices):
+    return list(zip(vertices, vertices[1:]))
+
+
+# Graphs whose vertices of degree <= 1 peel off before the packed kernel runs.
+PEELED_GRAPHS = {
+    "path": (9, path(*range(9))),
+    "path, scrambled labels": (9, path(3, 7, 0, 5, 8, 1, 6, 2, 4)),
+    "star at 0": (8, [(0, v) for v in range(1, 8)]),
+    "star at the top vertex": (8, [(v, 7) for v in range(7)]),
+    "forest": (11, [(0, 5), (5, 9), (2, 5), (1, 3), (3, 8), (8, 10), (4, 7)]),
+    "isolated vertices and one edge": (6, [(2, 4)]),
+    "isolated vertex 0": (6, [(1, 2), (2, 3), (1, 3), (4, 5)]),
+    "cycle with pendant paths": (
+        13,
+        path(3, 6, 9, 12, 4, 3) + path(6, 10, 0) + path(12, 1, 8, 11) + [(2, 4)] + path(4, 5, 7),
+    ),
+    "two cores": (
+        12,
+        path(1, 3, 5, 7, 9, 1) + path(2, 6, 11, 2) + path(9, 10, 0) + [(4, 11)],
+    ),
+    "even cycle, pendants at both ends": (10, path(2, 4, 6, 8, 2) + path(8, 9, 1) + [(0, 2), (3, 4)]),
+    "vertex 0 a leaf of a hanging tree": (8, path(5, 6, 7, 5) + [(0, 7), (1, 6), (1, 2), (3, 5)]),
+    "vertex 0 in a tree of its own": (
+        10,
+        path(2, 4, 6, 8, 9, 2) + [(0, 5), (1, 5), (5, 7), (3, 9)],
+    ),
+    "vertex 0 in a tree, core above and below it": (
+        11,
+        path(1, 2, 3, 1) + path(6, 8, 10, 6) + [(0, 4), (4, 9), (5, 9), (7, 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PEELED_GRAPHS))
+def test_exact_max_cut_peels_pendant_trees(name):
+    """Peeling pendant trees keeps the lowest-index maximum cut."""
+    m, edges = PEELED_GRAPHS[name]
+    edges = sorted((min(u, v), max(u, v)) for u, v in edges)
+    assert len(set(edges)) == len(edges) and all(u != v for u, v in edges)
+    assert _exact_max_cut(m, edges) == lowest_max_cut(m, edges)
+
+
+@st.composite
+def sparse_edge_lists(draw, max_m=14):
+    m = draw(st.integers(min_value=0, max_value=max_m))
+    pairs = list(itertools.combinations(range(m), 2))
+    if not pairs:
+        return m, []
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=m + 2))
+    return m, sorted(chosen)
+
+
+@given(sparse_edge_lists())
+@settings(deadline=None, max_examples=60)
+def test_exact_max_cut_on_sparse_graphs(graph):
+    """Sparse graphs are mostly pendant trees around a small core, if any."""
+    m, edges = graph
+    assert _exact_max_cut(m, edges) == lowest_max_cut(m, edges)
+
+
+def test_exact_max_cut_small_core_at_the_cap():
+    """A 5-cycle with a pendant path up to vertex 23: the kernel runs on the
+    five cycle vertices, so it builds no 2^23-field int."""
+    m = MAX_EXACT_CUT_VERTICES
+    edges = sorted(path(0, 1, 2, 3, 4) + [(0, 4)] + path(*range(4, m)))
+    tracemalloc.start()
+    try:
+        got = _exact_max_cut(m, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the path alternates down from vertex 23 on the left, which puts 4 on
+    # the right; the cycle then cuts four edges, lowest with 1 right
+    assert got == 0b1010_1010_1010_1010_1010_010
+    assert cut_value(got, edges) == len(edges) - 1
+    assert peak < 1 << 20
+
+
+def workload_graph(seed, m, n=6):
+    """A disjointness graph of m random masks on n elements with its edge
+    count pinned to the mean over uniform masks, C(m,2) (3/4)^n."""
+    rng = random.Random(seed)
+    edges = round(m * (m - 1) / 2 * 0.75 ** n)
+    while True:
+        masks = rng.sample(range(1 << n), m)
+        if sum(1 for i in range(m) for j in range(i) if masks[i] & masks[j] == 0) == edges:
+            return build_graph(SetFamily.from_masks(n, masks))
+
+
+@pytest.mark.parametrize(
+    "m,want",
+    [
+        (20, (7, (2, 10, 11, 16, 31, 48, 51, 54, 59, 63), (4, 5, 15, 28, 29, 37, 41, 45, 52, 53))),
+        (21, (4, (2, 11, 13, 15, 33, 35, 38, 40, 42, 44, 59), (16, 17, 18, 19, 21, 23, 24, 26, 52, 57))),
+        (22, (8, (0, 5, 9, 13, 25, 40, 44), (6, 7, 18, 23, 28, 29, 30, 36, 42, 43, 50, 51, 54, 58, 60))),
+    ],
+)
+def test_bipartization_frozen_anchors(m, want):
+    """Splits of 20..22-vertex graphs, out of brute force's reach, as the
+    whole-graph packed kernel returned them."""
+    res = min_bipartization(workload_graph(m, m))
+    assert res.exact
+    assert (res.deleted, res.left_masks, res.right_masks) == want
 
 
 def test_import_loads_no_numpy():
