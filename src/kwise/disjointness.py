@@ -294,8 +294,8 @@ def _exact_max_cut(m: int, edges: List[Tuple[int, int]]) -> int:
     """Lowest-index maximum cut, vertex 0 pinned to the left side.
 
     Vertices of degree <= 1 are peeled off first, repeatedly.  A peeled
-    vertex with a neighbour p left sits opposite p in every maximum cut,
-    since it adds a cut edge to any cut of the rest, so each vertex is a
+    vertex with one remaining neighbour p sits opposite p in every maximum
+    cut, since it adds a cut edge to any cut of the rest, so each vertex is a
     copy or a negation of a variable: a vertex of the 2-core, or the last
     vertex peeled from a tree component, which is free.  Read from the
     highest index down, the lowest-index rule prefers, for each variable,
