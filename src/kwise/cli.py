@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, Tuple
 
-from .bitops import family_full_bitmap, iter_bits, mask_elements, mask_from_elements
+from .bitops import MAX_FAMILY_GROUND, family_full_bitmap, iter_bits, mask_elements, mask_from_elements
 from .constructions import (
     Partition,
     balanced_block,
@@ -42,7 +42,7 @@ from .constructions import (
 from .core import KwiseMode, ReachState, SetFamily, maximal_closure
 from .disjointness import build_bipartite, build_graph, count_edges_touching, stability_stats
 from .generator import coverage
-from .search import MAX_SEARCH_GROUND, SearchConfig, audit_claim_counts, search_min
+from .search import SearchConfig, audit_claim_counts, search_min
 
 SCHEMA_VERSION = 1
 INLINE_FAMILY_BITS = 1 << 20
@@ -269,9 +269,11 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         params, result = rec["params"], rec["result"]
         n, k, mode = params.get("n"), params.get("k"), params.get("mode")
         if rec.get("command") == "search-min":
-            # only an n and k that search-min itself could have written
-            written = type(n) is int and 1 <= n <= MAX_SEARCH_GROUND and type(k) is int and k >= 2
-            if not written or result.get("f") is None:
+            if result.get("f") is None:
+                continue
+            try:  # only an n and k that search-min itself could have written
+                SearchConfig(n=n, k=k)
+            except ValueError:
                 continue
             balanced = linked_cubes_size(n, n // 2) if n >= 2 else ""
             try:
@@ -285,7 +287,7 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
             f_rows.setdefault((n, k, mode), [n, k, mode, result["f"], balanced, series, janzer])
             continue
         family = params.get("family")
-        if not isinstance(n, int) or not 2 <= n <= 26 or not isinstance(family, str):
+        if not isinstance(n, int) or not 2 <= n <= MAX_FAMILY_GROUND or not isinstance(family, str):
             continue
         if family.startswith("@"):
             continue

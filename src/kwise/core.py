@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import binascii
 import enum
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -46,20 +47,18 @@ class KwiseMode(enum.Enum):
     WITH_REPETITION = "repetition"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SetFamily:
     """Immutable family of subsets of {1..n} backed by a membership bitmap."""
 
-    __slots__ = ("n", "bitmap")
+    n: int
+    bitmap: int = 0
 
-    def __init__(self, n: int, bitmap: int = 0):
-        check_ground(n)
-        if not (type(bitmap) is int and bitmap >= 0 and bitmap.bit_length() <= 1 << n):
-            raise ValueError(f"bitmap out of range for ground size {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bitmap", bitmap)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetFamily is immutable")
+    def __post_init__(self):
+        check_ground(self.n)
+        bitmap = self.bitmap
+        if not (type(bitmap) is int and bitmap >= 0 and bitmap.bit_length() <= 1 << self.n):
+            raise ValueError(f"bitmap out of range for ground size {self.n}")
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":
@@ -108,16 +107,6 @@ class SetFamily:
 
     def __iter__(self) -> Iterator[int]:
         return self.members()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetFamily)
-            and self.n == other.n
-            and self.bitmap == other.bitmap
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bitmap))
 
     def __repr__(self) -> str:
         if self.size <= 8:
@@ -224,8 +213,9 @@ _SPARSE_LIMITS = tuple(
 # they replace about one Python step per member.  Timed with either side
 # forced, the passes won on random families at the bound (n = 16 and 20)
 # and on linked cubes up to n = 19, and lost from n = 21 on; linked cubes
-# broke even at n = 20, about n * 2^n / 2^13 members (BENCH_10.json).
-_MINIMAL_PASS_SHIFT = 12
+# broke even at n = 20, about n * 2^n / 2^13 members (BENCH_10.json), so
+# the bound sits there and linked cubes up to n = 19 take the passes.
+_MINIMAL_PASS_SHIFT = 13
 
 
 def _bitmap_of(masks: Iterable[int], n: int) -> int:

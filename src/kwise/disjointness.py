@@ -266,23 +266,30 @@ def min_bipartization(
     if graph.bipartite:
         raise ValueError("bipartization applies to the single-family graph")
     m = len(graph.left)
-    edges = list(graph.edges())
     if mode == "exact":
         if m > MAX_EXACT_CUT_VERTICES:
             raise ValueError(
                 f"exact bipartization capped at {MAX_EXACT_CUT_VERTICES} vertices, got {m}"
             )
-        assignment = _exact_max_cut(m, edges)
+        assignment = _exact_max_cut(m, list(graph.edges()))
         exact = True
     elif mode == "heuristic":
-        assignment = _local_search_cut(m, edges, seed)
+        assignment = _local_search_cut(graph.adjacency, seed)
         exact = False
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'heuristic'")
-    cut = sum(1 for u, v in edges if ((assignment >> u) ^ (assignment >> v)) & 1)
+    # a kept edge has both ends on one side and is counted from each
+    kept = sum(
+        (row & _side_of(assignment, u)).bit_count() for u, row in enumerate(graph.adjacency)
+    )
     left = tuple(graph.left[i] for i in range(m) if not (assignment >> i) & 1)
     right = tuple(graph.left[i] for i in range(m) if (assignment >> i) & 1)
-    return BipartizationResult(len(edges) - cut, left, right, exact)
+    return BipartizationResult(kept // 2, left, right, exact)
+
+
+def _side_of(assignment: int, v: int) -> int:
+    """The vertices on v's side of the split, as a bitset (negative for the left)."""
+    return assignment if assignment >> v & 1 else ~assignment
 
 
 # Field width of the packed max-cut kernel: room for a cut of every edge
@@ -407,14 +414,9 @@ def _packed_max_cut(m: int, edges: List[Tuple[int, int]], prefer: int) -> int:
     return chosen
 
 
-def _local_search_cut(m: int, edges: List[Tuple[int, int]], seed: int) -> int:
-    if m == 0:
-        return 0
+def _local_search_cut(adjacency: Sequence[int], seed: int) -> int:
+    m = len(adjacency)
     rng = random.Random(seed)
-    neighbors = [[] for _ in range(m)]
-    for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
     assignment = rng.getrandbits(m)
     spent = 0
     improved = True
@@ -424,14 +426,8 @@ def _local_search_cut(m: int, edges: List[Tuple[int, int]], seed: int) -> int:
         rng.shuffle(order)
         for vtx in order:
             spent += 1
-            side = (assignment >> vtx) & 1
-            same = other = 0
-            for w in neighbors[vtx]:
-                if ((assignment >> w) & 1) == side:
-                    same += 1
-                else:
-                    other += 1
-            if same > other:
+            row = adjacency[vtx]
+            if 2 * (row & _side_of(assignment, vtx)).bit_count() > row.bit_count():
                 assignment ^= 1 << vtx
                 improved = True
             if spent >= MAX_HEURISTIC_MOVES:

@@ -4,10 +4,12 @@ search_min answers, exactly, how small a maximal k-wise intersecting
 family on n elements can be.  Families below the distinctness threshold
 (fewer than k members) are decided by their common intersection I: a new
 set makes at most k members, so it is blocked exactly when it misses I.
-Everything at or above the threshold is covered by branch and bound over
-upward-closed families, exhaustive because a maximal family with at least
-k members is upward closed.  An oracle built from first principles
-re-derives the answer at tiny n.
+The smallest size that can be maximal there, the floor, always is, so the
+floor is the minimum.  The branch and bound over upward-closed families,
+which covers families of k or more members, then adds only its node
+count, until a search for the smallest such family skips the below-k
+stage.  An oracle built from first principles re-derives the answer at
+tiny n.
 
 The second half of the module holds the counting tools used to audit
 size bounds around a paired-cube split: minimum-defect decompositions of
@@ -218,7 +220,6 @@ class _BranchAndBound:
         mode: KwiseMode,
         deadline: float,
         best: Optional[int] = None,
-        found: Optional[List[int]] = None,
     ):
         self.n = n
         self.k = k
@@ -227,7 +228,7 @@ class _BranchAndBound:
         self.count = 1 << n
         self.checkpoints: Dict[int, int] = {1 << j: j for j in range(2, n + 1)}
         self.best = best
-        self.found: List[int] = list(found) if found else []
+        self.found: List[int] = []
         self.nodes = 0
 
     def run(self) -> bool:
@@ -298,9 +299,10 @@ def search_min(config: SearchConfig) -> SearchReport:
     """Exact minimum size of a maximal k-wise intersecting family, with witnesses.
 
     Decides the families below the distinctness threshold by their common
-    intersection, then runs the branch-and-bound stage, and reports
-    canonical witnesses.  A run cut short by the budget is flagged
-    non-optimal and carries honest bounds.
+    intersection; the floor always holds a maximal one, so the witnesses
+    are the canonical forms of the floor's maximal families.  The
+    branch-and-bound stage adds only its node count.  A run cut short by
+    the budget is flagged non-optimal and carries honest bounds.
     """
     start = time.monotonic()
     deadline = start + config.budget
@@ -308,27 +310,29 @@ def search_min(config: SearchConfig) -> SearchReport:
     floor = _first_below_k_size(n, k, mode)
     # every combination of fewer members counts as a node, as if scanned
     nodes = sum(math.comb(1 << n, size) for size in range(1, floor))
-    best: Optional[int] = None
     found: List[int] = []
     interrupted = False
     try:
         for size, bm in _below_k_maximal(n, k, mode):
-            if best is not None and size > best:
+            if size > floor:
                 break
             nodes += 1
             if nodes & 255 == 0 and time.monotonic() > deadline:
                 raise _BudgetExceeded
             if bm:
-                best = size
                 found.append(bm)
     except _BudgetExceeded:
         interrupted = True
+    # the empty set and floor - 1 other masks are maximal: found is empty
+    # only when the budget ran out first
+    best = floor if found else None
 
     if not interrupted:
-        engine = _BranchAndBound(n, k, mode, deadline, best=best, found=found)
+        # it records only families of k or more members, larger than the
+        # floor, so it runs for its node count alone
+        engine = _BranchAndBound(n, k, mode, deadline, best=floor)
         interrupted = not engine.run()
         nodes += engine.nodes
-        best, found = engine.best, engine.found
 
     # each scan discards its whole class from pending: one scan per class
     pending = set(found)

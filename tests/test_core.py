@@ -4,7 +4,9 @@ The oracles here use itertools over member lists and nothing from the
 package's bitmap fast paths, so agreement is meaningful.
 """
 
+import copy
 import itertools
+import pickle
 import random
 from functools import reduce
 from operator import and_
@@ -128,6 +130,15 @@ def test_membership_of_non_masks_is_false():
     assert 1.0 not in fam
     assert True not in fam
     assert -1 not in fam and 8 not in fam
+
+
+def test_set_family_copies_and_pickles_but_stays_frozen():
+    fam = SetFamily(3, 0b10110110)
+    for twin in (copy.copy(fam), copy.deepcopy(fam), pickle.loads(pickle.dumps(fam))):
+        assert twin == fam and hash(twin) == hash(fam)
+    assert hash(fam) == hash((3, 0b10110110))
+    with pytest.raises(AttributeError):
+        fam.n = 4
 
 
 def test_complement_family_involution():

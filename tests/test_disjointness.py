@@ -331,6 +331,22 @@ def test_bipartization_frozen_anchors(m, want):
     assert (res.deleted, res.left_masks, res.right_masks) == want
 
 
+@pytest.mark.parametrize(
+    "m,want",
+    [
+        (20, (8, (2, 4, 10, 11, 15, 31), (5, 16, 28, 29, 37, 41, 45, 48, 51, 52, 53, 54, 59, 63))),
+        (21, (4, (2, 11, 13, 15, 33, 35, 38, 40, 42, 44, 59), (16, 17, 18, 19, 21, 23, 24, 26, 52, 57))),
+        (22, (11, (5, 9, 13, 23, 25, 28, 29, 30, 40, 43, 44, 51, 60), (0, 6, 7, 18, 36, 42, 50, 54, 58))),
+    ],
+)
+def test_bipartization_heuristic_frozen_anchors(m, want):
+    """Seeded local-search splits of the same graphs, as the neighbour-list
+    search returned them: the RNG calls and move decisions are pinned."""
+    res = min_bipartization(workload_graph(m, m), mode="heuristic", seed=m)
+    assert not res.exact
+    assert (res.deleted, res.left_masks, res.right_masks) == want
+
+
 def test_import_loads_no_numpy():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -232,9 +232,9 @@ def up_closed_families(k, mode):
         yield seeded_closure(n, k, mode, rng)
     for n in (4, 10, 14):
         yield star(n)
-    # from n = 18 on balanced linked cubes fall below the bound and are
+    # from n = 20 on balanced linked cubes fall below the bound and are
     # walked whole; with a one-point block they have 2^(n-1) - 1 members
-    for n in (5, 9, 12, 16, 18):
+    for n in (5, 9, 12, 16, 20):
         for block in (balanced_block(n), 1)[: 2 if n < 16 else 1]:
             fam = linked_cubes(n, block)
             yield fam
@@ -265,8 +265,10 @@ def test_of_is_the_ascending_fold_on_antichains_and_random_families(k, mode):
         # the middle layer has no member inside another, so nothing is skipped
         assert_of_is_the_ascending_fold(uniform(n, n // 2), k, mode)
     rng = random.Random(k)
-    # n * 2^n / 2^12 = 56 members at n = 14: families on both sides of the bound
-    for count, above in ((30, False), (120, True)):
+    # half and twice n * 2^n / 2^_MINIMAL_PASS_SHIFT masks at n = 14, with
+    # up to half as many supersets: families on both sides of the bound
+    bound = (14 << 14) >> core._MINIMAL_PASS_SHIFT
+    for count, above in ((bound // 2, False), (2 * bound, True)):
         fam = with_supersets(14, [rng.getrandbits(14) for _ in range(count)], rng)
         assert above_pass_bound(fam) == above
         assert_of_is_the_ascending_fold(fam, k, mode)

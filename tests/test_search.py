@@ -398,6 +398,19 @@ def test_branch_and_bound_pinned_counts(n, k, mode, nodes, best, found):
     assert (eng.nodes, eng.best, sorted(eng.found)) == (nodes, best, found)
 
 
+@pytest.mark.parametrize("mode", [DISTINCT, REPETITION])
+def test_branch_and_bound_below_k_incumbent_records_nothing(mode):
+    """The engine records only families of at least k members, so an
+    incumbent below k, such as search_min's below-k floor, is never beaten
+    or tied: the run adds nodes and nothing else."""
+    for n in range(1, 6):
+        for k in range(2, 6):
+            for b in range(1, k):
+                eng = _BranchAndBound(n, k, mode, time.monotonic() + 120, best=b)
+                assert eng.run()
+                assert (eng.found, eng.best) == ([], b)
+
+
 def brute_region_minimal(bm, j):
     """No relabeling of the first j coordinates is smaller stage by stage,
     comparing the masks below 4, then below 8, ..., then below 2^j."""
