@@ -340,8 +340,8 @@ def test_bipartization_frozen_anchors(m, want):
     ],
 )
 def test_bipartization_heuristic_frozen_anchors(m, want):
-    """Seeded local-search splits of the same graphs, as the neighbour-list
-    search returned them: the RNG calls and move decisions are pinned."""
+    """Seeded local-search splits of the same graphs: a change to the RNG
+    calls or to the move rule shows up here."""
     res = min_bipartization(workload_graph(m, m), mode="heuristic", seed=m)
     assert not res.exact
     assert (res.deleted, res.left_masks, res.right_masks) == want
