@@ -39,7 +39,7 @@ from .constructions import (
     series_of_cubes,
     series_of_cubes_size,
 )
-from .core import KwiseMode, ReachState, SetFamily, maximal_closure
+from .core import KwiseMode, ReachState, SetFamily, _check_k, maximal_closure
 from .disjointness import build_bipartite, build_graph, count_edges_touching, stability_stats
 from .generator import coverage
 from .search import SearchConfig, audit_claim_counts, search_min
@@ -239,7 +239,7 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
             continue
         try:
             rec = json.loads(line)
-            if not isinstance(rec, dict) or "command" not in rec:
+            if not isinstance(rec, dict) or not isinstance(rec.get("command"), str):
                 raise ValueError("missing required keys")
             if not all(isinstance(rec.get(key), dict) for key in ("params", "result")):
                 raise ValueError("params and result must be objects")
@@ -249,12 +249,12 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     if malformed:
         print(f"warning: skipped {malformed} malformed ledger line(s)", file=sys.stderr)
 
-    seen: Dict[Tuple[str, str, Any], str] = {}
+    seen: Dict[Tuple[str, str, str], str] = {}
     for rec in records:
         key = (
-            rec.get("command"),
+            rec["command"],
             json.dumps(rec["params"], sort_keys=True),
-            rec.get("seed"),
+            json.dumps(rec.get("seed"), sort_keys=True),
         )
         payload = _stable_payload(rec["result"])
         if key in seen and seen[key] != payload:
@@ -264,14 +264,19 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     f_rows, max_rows = {}, {}
     balanced_hex: Dict[int, str] = {}
     for rec in records:
-        if rec.get("command") not in ("search-min", "check"):
+        if rec["command"] not in ("search-min", "check"):
             continue
         params, result = rec["params"], rec["result"]
         n, k, mode = params.get("n"), params.get("k"), params.get("mode")
-        if rec.get("command") == "search-min":
+        try:  # only a k and mode that the command itself could have written
+            _check_k(k)
+            KwiseMode(mode)
+        except ValueError:
+            continue
+        if rec["command"] == "search-min":
             if result.get("f") is None:
                 continue
-            try:  # only an n and k that search-min itself could have written
+            try:  # and an n that search-min accepts with them
                 SearchConfig(n=n, k=k)
             except ValueError:
                 continue

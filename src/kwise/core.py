@@ -239,21 +239,19 @@ def _merge_minimal(layer: Tuple[int, ...], masks: Iterable[int]) -> Tuple[int, .
     return out
 
 
-def _fold_layers(layers: Tuple, size: int, g: int, n: int) -> Tuple:
-    """Layers after folding member g into a family of the given size.
+def _fold_layers(layers: Tuple, g: int, n: int, k: int) -> Tuple:
+    """Layers after folding member g into the family they were built from.
 
+    Below k members the fold adds a layer, dense past a dense one.
     Unchanged layers are returned as the same objects.
     """
-    k = len(layers)
-    first = layers[0]
-    if size >= k and (
-        first & cube_bits(g) if type(first) is int else any(a & g == a for a in first)
-    ):
-        return layers
     new = list(layers)
-    top = min(k, size + 1)
-    for j in range(top - 1, 0, -1):
-        src, dst = layers[j - 1], layers[j]
+    if len(new) < k:
+        new.append(0 if new and type(new[-1]) is int else ())
+    elif new[0] & cube_bits(g) if type(new[0]) is int else any(a & g == a for a in new[0]):
+        return layers
+    for j in range(len(new) - 1, 0, -1):
+        src, dst = new[j - 1], new[j]
         if type(dst) is tuple:
             new[j] = _merge_minimal(dst, {t & g for t in src})
             continue
@@ -263,26 +261,27 @@ def _fold_layers(layers: Tuple, size: int, g: int, n: int) -> Tuple:
             grown = dst | _bitmap_of({t & g for t in src}, n)
         if grown != dst:
             new[j] = grown
-    new[0] = first | (1 << g) if type(first) is int else _merge_minimal(first, (g,))
+    new[0] = new[0] | 1 << g if type(new[0]) is int else _merge_minimal(new[0], (g,))
     limit = _SPARSE_LIMITS[n]
-    for j in range(top):
-        if type(new[j]) is tuple and len(new[j]) > limit:
+    for j, layer in enumerate(new):
+        if type(layer) is tuple and len(layer) > limit:
             # dense layers form a suffix: a dense layer only feeds dense ones
-            for i in range(j, k):
-                if type(new[i]) is tuple:
-                    new[i] = _bitmap_of(new[i], n)
+            new[j:] = [_bitmap_of(t, n) if type(t) is tuple else t for t in new[j:]]
             break
     return tuple(new)
 
 
 class ReachState:
-    """Reach layers R_1..R_k of a family, built one member at a time.
+    """Reach layers R_1..R_min(s, k) of a family of s members, built one
+    member at a time.
 
     R_j holds the masks that are the intersection of exactly j pairwise
     distinct members.  Folding in a new member g adds {t & g : t in R_(j-1)}
     to R_j, where R_(j-1) was built from earlier members only, so every
-    witness collection is automatically distinct.  The state also keeps the
-    family itself as the bitmap members.
+    witness collection is automatically distinct.  A family of s members
+    has no collection of more than s distinct members, so the state keeps
+    one layer per member up to k, and none at all for the empty family.
+    The state also keeps the family itself as the bitmap members.
 
     Both questions asked of a layer depend only on its up-closure: "is the
     empty set reachable" and "which masks miss some reachable t".  And if
@@ -321,9 +320,7 @@ class ReachState:
         self.k = k
         self.mode = mode
         self.size = 0
-        # layers[j - 1] is R_j, empty past j = 2^n; keeping one empty layer
-        # more means a family has len(layers) members only when it has k
-        self.layers: Tuple = ((),) * min(k, (1 << n) + 1)
+        self.layers: Tuple = ()  # layers[j - 1] is R_j
         self.members = 0
 
     def _after(self, size: int, layers: Tuple, members: int) -> "ReachState":
@@ -336,7 +333,7 @@ class ReachState:
     def of(cls, family: SetFamily, k: int, mode: KwiseMode = KwiseMode.DISTINCT) -> "ReachState":
         """The state of a whole family, its members folded in ascending order.
 
-        After the first len(layers) members, a family of at least
+        After the first k members, a family of at least
         n * 2^n / 2^_MINIMAL_PASS_SHIFT members folds only its minimal
         members.  The layers are the same as from folding every member: a
         skipped member contains a member with a smaller mask, which was
@@ -345,31 +342,29 @@ class ReachState:
         """
         empty = cls(family.n, k, mode)
         n, bm = family.n, family.bitmap
-        layers, size = empty.layers, 0
+        layers = empty.layers
         members = iter_bits(bm)
         for g in members:
-            layers = _fold_layers(layers, size, g, n)
-            size += 1
-            if size == len(layers):
+            layers = _fold_layers(layers, g, n, k)
+            if len(layers) == k:
                 break
-        if size == len(layers) and bm.bit_count() << _MINIMAL_PASS_SHIFT >= n << n:
+        if len(layers) == k and bm.bit_count() << _MINIMAL_PASS_SHIFT >= n << n:
             members = iter_bits(bitops._minimal_members(bm, n) >> (g + 1) << (g + 1))
         for g in members:
-            layers = _fold_layers(layers, size, g, n)
-            size += 1
+            layers = _fold_layers(layers, g, n, k)
         return empty._after(bm.bit_count(), layers, bm)
 
     def fold(self, g: int) -> "ReachState":
         """The state after adding member g, which must not be a member yet."""
-        layers = _fold_layers(self.layers, self.size, g, self.n)
+        layers = _fold_layers(self.layers, g, self.n, self.k)
         return self._after(self.size + 1, layers, self.members | 1 << g)
 
     def hits_empty(self) -> bool:
         """Whether some 2..k distinct members have an empty intersection,
-        read from R_min(size, k)."""
+        read from R_min(size, k), the last layer."""
         if self.size < 2:
             return False
-        layer = self.layers[min(self.size, self.k) - 1]
+        layer = self.layers[-1]
         return bool(layer & 1) if type(layer) is int else 0 in layer
 
     def intersecting(self) -> bool:
@@ -381,11 +376,11 @@ class ReachState:
     def relevant(self) -> int | Tuple[int, ...]:
         """The layer whose reachable masks block a new member: R_(k-1) in
         DISTINCT mode, R_min(size, k-1) with repetition (R_1 when empty).
-        Past the last layer, R_(k-1) is the spare empty one."""
+        A layer the family cannot fill yet is empty, ()."""
         j = self.k - 1
         if self.mode is KwiseMode.WITH_REPETITION:
             j = min(j, self.size) or 1
-        return self.layers[min(j, len(self.layers)) - 1]
+        return self.layers[j - 1] if j <= len(self.layers) else ()
 
     def blocked(self) -> int:
         """Bitmap of masks whose addition would break the k-wise property.

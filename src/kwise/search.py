@@ -71,16 +71,15 @@ def canonical_form(family: SetFamily) -> SetFamily:
     return SetFamily(n, min(_relabelings(family.bitmap, n, n)))
 
 
-def _least_relabeling(n: int, bitmap: int, pending: Set[int]) -> int:
+def _least_relabeling(n: int, bitmap: int, seen: Set[int]) -> int:
     """Least bitmap among the n! relabelings of a family bitmap, for the
     witness strike-off of search_min.
 
-    Every relabeling the walk meets is also discarded from pending, so a
-    caller holding many labeled copies of a few classes scans each class
-    once.
+    Every relabeling the walk meets is also added to seen, so a caller
+    meeting many labeled copies of a few classes scans each class once.
     """
     copies = set(_relabelings(bitmap, n, n))
-    pending.difference_update(copies)
+    seen |= copies
     return min(copies)
 
 
@@ -310,7 +309,9 @@ def search_min(config: SearchConfig) -> SearchReport:
     floor = _first_below_k_size(n, k, mode)
     # every combination of fewer members counts as a node, as if scanned
     nodes = sum(math.comb(1 << n, size) for size in range(1, floor))
-    found: List[int] = []
+    # one canonical form per class, each struck off when the scan first meets it
+    forms: List[int] = []
+    seen: Set[int] = set()
     interrupted = False
     try:
         for size, bm in _below_k_maximal(n, k, mode):
@@ -319,13 +320,13 @@ def search_min(config: SearchConfig) -> SearchReport:
             nodes += 1
             if nodes & 255 == 0 and time.monotonic() > deadline:
                 raise _BudgetExceeded
-            if bm:
-                found.append(bm)
+            if bm and bm not in seen:
+                forms.append(_least_relabeling(n, bm, seen))
     except _BudgetExceeded:
         interrupted = True
-    # the empty set and floor - 1 other masks are maximal: found is empty
+    # the empty set and floor - 1 other masks are maximal: forms is empty
     # only when the budget ran out first
-    best = floor if found else None
+    best = floor if forms else None
 
     if not interrupted:
         # it records only families of k or more members, larger than the
@@ -334,9 +335,6 @@ def search_min(config: SearchConfig) -> SearchReport:
         interrupted = not engine.run()
         nodes += engine.nodes
 
-    # each scan discards its whole class from pending: one scan per class
-    pending = set(found)
-    forms = [_least_relabeling(n, bm, pending) for bm in found if bm in pending]
     witnesses = tuple(SetFamily(n, bm) for bm in sorted(forms))
     matched = (False,) * len(witnesses)
     # isomorphic families have equal sizes, so the linked cubes can only

@@ -441,6 +441,45 @@ def test_report_skips_search_records_out_of_range(tmp_path, capsys):
     assert rows[1:] == [["5", "3", "distinct", "2", "9", "", ""]]
 
 
+SEARCH_PARAMS = {"n": 3, "k": 3, "mode": "distinct", "budget": 60.0}
+LC3_PARAMS = {"n": 3, "k": 3, "mode": "distinct", "family": linked_cubes(3, balanced_block(3)).to_hex()}
+
+
+@pytest.mark.parametrize(
+    "record, skipped, f_rows, maximality_rows",
+    [
+        ({"command": ["search-min"], "params": SEARCH_PARAMS, "result": {"f": 2}}, 1, 0, 0),
+        ({"command": {"name": "check"}, "params": LC3_PARAMS, "result": {"size": 3}}, 1, 0, 0),
+        ({"command": "search-min", "params": SEARCH_PARAMS, "seed": [0], "result": {"f": 2}}, 0, 1, 0),
+        ({"command": "search-min", "params": SEARCH_PARAMS, "seed": {"a": 0}, "result": {"f": 2}}, 0, 1, 0),
+        ({"command": "search-min", "params": {**SEARCH_PARAMS, "mode": ["distinct"]}, "result": {"f": 2}}, 0, 0, 0),
+        ({"command": "search-min", "params": {**SEARCH_PARAMS, "mode": "bogus"}, "result": {"f": 2}}, 0, 0, 0),
+        ({"command": "check", "params": {**LC3_PARAMS, "k": [3]}, "result": {"size": 3}}, 0, 0, 0),
+        ({"command": "check", "params": {**LC3_PARAMS, "k": 1}, "result": {"size": 3}}, 0, 0, 0),
+        ({"command": "check", "params": {**LC3_PARAMS, "mode": {"m": 1}}, "result": {"size": 3}}, 0, 0, 0),
+        ({"command": "check", "params": LC3_PARAMS, "seed": [0], "result": {"size": 3}}, 0, 0, 1),
+    ],
+    ids=[
+        "command-array", "command-object", "seed-array", "seed-object",
+        "search-mode-array", "search-mode-bogus", "check-k-array", "check-k-one",
+        "check-mode-object", "check-seed-array",
+    ],
+)
+def test_report_survives_json_values_where_scalars_belong(
+    tmp_path, capsys, record, skipped, f_rows, maximality_rows
+):
+    """A JSON array or object in a record's command, seed, k or mode skips
+    the line or the row; the report still exits 0 with its counts."""
+    ledger = tmp_path / "odd.jsonl"
+    ledger.write_text(json.dumps(record) + "\n")
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 0, err
+    assert "Traceback" not in err
+    result = json.loads(out)["result"]
+    assert result["skipped_lines"] == skipped
+    assert (result["f_rows"], result["maximality_rows"]) == (f_rows, maximality_rows)
+
+
 def test_report_ignores_volatile_divergence(tmp_path, capsys):
     ledger = tmp_path / "ok.jsonl"
     base = {

@@ -12,6 +12,7 @@ member.
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -277,9 +278,39 @@ def test_of_is_the_ascending_fold_on_antichains_and_random_families(k, mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n, k", [(1, 4), (1, 7), (2, 6), (2, 9)])
 def test_of_is_the_ascending_fold_past_the_last_layer(n, k, mode):
-    # k > 2^n + 1: the state keeps 2^n + 1 layers, one more than any family fills
+    # k > 2^n + 1: no family fills k layers, and a state keeps one per member
     for bm in range(1 << (1 << n)):
         assert_of_is_the_ascending_fold(SetFamily(n, bm), k, mode)
+
+
+@given(small_families(), st.sampled_from([2, 3, 5, 10**9]), st.sampled_from(MODES), st.randoms())
+@example(SetFamily(6, 0), 10**9, KwiseMode.DISTINCT, random.Random(0))
+@example(uniform(6, 5), 10**9, KwiseMode.WITH_REPETITION, random.Random(1))
+@settings(deadline=None, max_examples=200)
+def test_a_state_keeps_one_layer_per_member_up_to_k(fam, k, mode, rng):
+    # a layer past the family's size would stay empty, so none is kept
+    assert len(ReachState.of(fam, k, mode).layers) == min(fam.size, k)
+    members = fam.member_list()
+    rng.shuffle(members)
+    state = ReachState(fam.n, k, mode)
+    assert state.layers == ()
+    for g in members:
+        state = state.fold(g)
+        assert len(state.layers) == min(state.size, k)
+
+
+def co_singletons(n):
+    """The n sets that miss exactly one point."""
+    return SetFamily.from_masks(n, [((1 << n) - 1) ^ (1 << i) for i in range(n)])
+
+
+def test_a_huge_k_costs_only_the_layers_the_family_fills():
+    # every layer of the n co-singletons goes dense; a layer per possible
+    # collection size would zero-fill 2^18 + 1 bitmaps of 2^18 bits
+    start = time.perf_counter()
+    state = ReachState.of(co_singletons(18), 10**9)
+    assert state.intersecting() and state.addable() != 0
+    assert time.perf_counter() - start < 2
 
 
 @given(small_families(), st.integers(2, 5), st.sampled_from(MODES), st.booleans())
