@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import binascii
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -158,11 +159,6 @@ def symmetric_difference_count(a: SetFamily, b: SetFamily) -> int:
     return (a.bitmap ^ b.bitmap).bit_count()
 
 
-def set_difference_count(a: SetFamily, b: SetFamily) -> int:
-    _check_same_ground(a, b)
-    return (a.bitmap & ~b.bitmap).bit_count()
-
-
 def up_closure(family: SetFamily) -> SetFamily:
     """Smallest upward-closed family containing the input."""
     return SetFamily(family.n, up_close_bits(family.bitmap, family.n))
@@ -170,10 +166,6 @@ def up_closure(family: SetFamily) -> SetFamily:
 
 def down_closure(family: SetFamily) -> SetFamily:
     return SetFamily(family.n, down_close_bits(family.bitmap, family.n))
-
-
-def is_up_closed(family: SetFamily) -> bool:
-    return up_close_bits(family.bitmap, family.n) == family.bitmap
 
 
 def is_down_closed(family: SetFamily) -> bool:
@@ -239,17 +231,13 @@ def _merge_minimal(layer: Tuple[int, ...], masks: Iterable[int]) -> Tuple[int, .
     return out
 
 
-def _fold_layers(layers: Tuple, g: int, n: int, k: int) -> Tuple:
-    """Layers after folding member g into the family they were built from.
+def _fold_layers(layers: Tuple, g: int, n: int) -> Tuple:
+    """Layers R_1..R_k after folding member g into the members they were
+    built from; the first k members start from ((),) * k, all empty.
 
-    Below k members the fold adds a layer, dense past a dense one.
     Unchanged layers are returned as the same objects.
     """
     new = list(layers)
-    if len(new) < k:
-        new.append(0 if new and type(new[-1]) is int else ())
-    elif new[0] & cube_bits(g) if type(new[0]) is int else any(a & g == a for a in new[0]):
-        return layers
     for j in range(len(new) - 1, 0, -1):
         src, dst = new[j - 1], new[j]
         if type(dst) is tuple:
@@ -271,17 +259,27 @@ def _fold_layers(layers: Tuple, g: int, n: int, k: int) -> Tuple:
     return tuple(new)
 
 
+def _fold_past_k(layers: Tuple, g: int, n: int) -> Tuple:
+    """_fold_layers past k members, where a member g containing one in R_1
+    changes nothing (see ReachState)."""
+    first = layers[0]
+    if first & cube_bits(g) if type(first) is int else any(a & g == a for a in first):
+        return layers
+    return _fold_layers(layers, g, n)
+
+
 class ReachState:
-    """Reach layers R_1..R_min(s, k) of a family of s members, built one
-    member at a time.
+    """Reach layers R_1..R_k of a family of at least k members, built one
+    member at a time, or the common intersection of fewer.
 
     R_j holds the masks that are the intersection of exactly j pairwise
     distinct members.  Folding in a new member g adds {t & g : t in R_(j-1)}
     to R_j, where R_(j-1) was built from earlier members only, so every
-    witness collection is automatically distinct.  A family of s members
-    has no collection of more than s distinct members, so the state keeps
-    one layer per member up to k, and none at all for the empty family.
-    The state also keeps the family itself as the bitmap members.
+    witness collection is automatically distinct.  The state also keeps
+    the family itself as the bitmap members, and their AND as common, I.
+    A family of s < k members has one collection of s distinct members,
+    and every question reads its intersection I (the full mask when s = 0),
+    so the state keeps no layers below k; the k-th member folds all k.
 
     Both questions asked of a layer depend only on its up-closure: "is the
     empty set reachable" and "which masks miss some reachable t".  And if
@@ -311,7 +309,7 @@ class ReachState:
     layers with the old one, so branching on a state costs nothing.
     """
 
-    __slots__ = ("n", "k", "mode", "size", "layers", "members")
+    __slots__ = ("n", "k", "mode", "size", "layers", "common", "members")
 
     def __init__(self, n: int, k: int, mode: KwiseMode = KwiseMode.DISTINCT):
         """The state of the empty family."""
@@ -320,50 +318,56 @@ class ReachState:
         self.k = k
         self.mode = mode
         self.size = 0
-        self.layers: Tuple = ()  # layers[j - 1] is R_j
+        self.layers: Tuple = ()  # layers[j - 1] is R_j, from k members on
+        self.common = full_mask(n)
         self.members = 0
 
-    def _after(self, size: int, layers: Tuple, members: int) -> "ReachState":
+    def _after(self, size: int, layers: Tuple, common: int, members: int) -> "ReachState":
         state = object.__new__(ReachState)
         state.n, state.k, state.mode = self.n, self.k, self.mode
-        state.size, state.layers, state.members = size, layers, members
+        state.size, state.layers, state.common, state.members = size, layers, common, members
         return state
 
     @classmethod
     def of(cls, family: SetFamily, k: int, mode: KwiseMode = KwiseMode.DISTINCT) -> "ReachState":
         """The state of a whole family, its members folded in ascending order.
 
+        Below k members it reads I off the bitmap without listing them.
         After the first k members, a family of at least
         n * 2^n / 2^_MINIMAL_PASS_SHIFT members folds only its minimal
-        members.  The layers are the same as from folding every member: a
+        members.  The state is the same as from folding every member: a
         skipped member contains a member with a smaller mask, which was
         folded before it, so its fold would have returned the layers
-        unchanged.
+        unchanged, and I is the same.
         """
         empty = cls(family.n, k, mode)
         n, bm = family.n, family.bitmap
-        layers = empty.layers
-        members = iter_bits(bm)
-        for g in members:
-            layers = _fold_layers(layers, g, n, k)
-            if len(layers) == k:
-                break
-        if len(layers) == k and bm.bit_count() << _MINIMAL_PASS_SHIFT >= n << n:
+        size = bm.bit_count()
+        if size < k:  # element i + 1 is common when no member avoids it
+            common = sum(1 << i for i in range(n) if not bm & bitops._clear_bit_pattern(n, i))
+            return empty._after(size, (), common, bm)
+        members, layers, common = iter_bits(bm), ((),) * k, empty.common
+        for g in itertools.islice(members, k):
+            layers, common = _fold_layers(layers, g, n), common & g
+        if size << _MINIMAL_PASS_SHIFT >= n << n:
             members = iter_bits(bitops._minimal_members(bm, n) >> (g + 1) << (g + 1))
         for g in members:
-            layers = _fold_layers(layers, g, n, k)
-        return empty._after(bm.bit_count(), layers, bm)
+            layers, common = _fold_past_k(layers, g, n), common & g
+        return empty._after(size, layers, common, bm)
 
     def fold(self, g: int) -> "ReachState":
         """The state after adding member g, which must not be a member yet."""
-        layers = _fold_layers(self.layers, g, self.n, self.k)
-        return self._after(self.size + 1, layers, self.members | 1 << g)
+        size, members = self.size + 1, self.members | 1 << g
+        if size == self.k:
+            return ReachState.of(SetFamily(self.n, members), self.k, self.mode)
+        layers = _fold_past_k(self.layers, g, self.n) if size > self.k else ()
+        return self._after(size, layers, self.common & g, members)
 
     def hits_empty(self) -> bool:
         """Whether some 2..k distinct members have an empty intersection,
-        read from R_min(size, k), the last layer."""
-        if self.size < 2:
-            return False
+        read from I below k members and from R_k, the last layer, on."""
+        if not self.layers:
+            return self.size >= 2 and self.common == 0
         layer = self.layers[-1]
         return bool(layer & 1) if type(layer) is int else 0 in layer
 
@@ -374,13 +378,14 @@ class ReachState:
         return not self.hits_empty()
 
     def relevant(self) -> int | Tuple[int, ...]:
-        """The layer whose reachable masks block a new member: R_(k-1) in
-        DISTINCT mode, R_min(size, k-1) with repetition (R_1 when empty).
-        A layer the family cannot fill yet is empty, ()."""
-        j = self.k - 1
-        if self.mode is KwiseMode.WITH_REPETITION:
-            j = min(j, self.size) or 1
-        return self.layers[j - 1] if j <= len(self.layers) else ()
+        """The reachable masks that block a new member: R_(k-1) from k
+        members on; below k, (I,) if a new member completes k members or,
+        with repetition, joins any, and () otherwise."""
+        if self.layers:
+            return self.layers[self.k - 2]
+        if self.size == self.k - 1 or (self.size and self.mode is KwiseMode.WITH_REPETITION):
+            return (self.common,)
+        return ()
 
     def blocked(self) -> int:
         """Bitmap of masks whose addition would break the k-wise property.
@@ -415,9 +420,6 @@ def is_k_wise_intersecting(
     vacuously true when the family has fewer than k.  WITH_REPETITION mode
     checks every collection size j with 2 <= j <= min(k, size).
     """
-    _check_k(k)
-    if mode is KwiseMode.DISTINCT and family.size < k:
-        return True  # vacuous, no fold needed
     return ReachState.of(family, k, mode).intersecting()
 
 
@@ -475,7 +477,7 @@ def maximal_closure(
         if supersets:
             addable &= ~supersets
             size = state.size + supersets.bit_count()
-            state = state._after(size, state.layers, state.members | supersets)
+            state = state._after(size, state.layers, state.common, state.members | supersets)
         if not addable:
             return SetFamily(n, state.members)
         g = (addable & -addable).bit_length() - 1

@@ -2,14 +2,13 @@
 
 search_min answers, exactly, how small a maximal k-wise intersecting
 family on n elements can be.  Families below the distinctness threshold
-(fewer than k members) are decided by their common intersection I: a new
-set makes at most k members, so it is blocked exactly when it misses I.
-The smallest size that can be maximal there, the floor, always is, so the
-floor is the minimum.  The branch and bound over upward-closed families,
-which covers families of k or more members, then adds only its node
-count, until a search for the smallest such family skips the below-k
-stage.  An oracle built from first principles re-derives the answer at
-tiny n.
+(fewer than k members) are decided by their common intersection, as
+core.ReachState decides them.  The smallest size that can be maximal
+there, the floor, always is, so the floor is the minimum.  The branch
+and bound over upward-closed families, which covers families of k or
+more members, then adds only its node count, until a search for the
+smallest such family skips the below-k stage.  An oracle built from
+first principles re-derives the answer at tiny n.
 
 The second half of the module holds the counting tools used to audit
 size bounds around a paired-cube split: minimum-defect decompositions of
@@ -114,9 +113,8 @@ def _below_k_maximal(n: int, k: int, mode: KwiseMode) -> Iterator[Tuple[int, int
     """Families of fewer than k members from the smallest size that can be
     maximal, each as (size, bitmap if it is maximal, else 0).
 
-    A new member m makes at most k members, so only m with all of them can
-    fail: m is blocked exactly when it misses I, the common intersection.
-    The family is maximal when every non-member misses I and it passes
+    By the below-k rule of core.ReachState, the family is maximal when
+    every non-member misses I, the AND of the members, and it passes
     itself: always in DISTINCT mode, with repetition at one member or I != 0.
     Every member contains I, so for I != 0 the first condition says the
     family is all 2^n - 2^(n - |I|) sets meeting I, which its size decides.

@@ -50,21 +50,26 @@ def dense_layers(state):
 def assert_matches_oracles(fam, k, mode, state=None):
     n, members = fam.n, fam.member_list()
     state = ReachState.of(fam, k, mode) if state is None else state
-    kwise = _naive_is_kwise(members, k, mode)
+    # no collection, with one new member, has 2^n + 2 distinct sets, so the
+    # oracles answer alike for every larger k; they get that k because
+    # itertools.combinations fills an index array of k entries even when
+    # the pool is shorter
+    ok = min(k, (1 << n) + 2)
+    kwise = _naive_is_kwise(members, ok, mode)
     assert state.intersecting() == kwise
     assert is_k_wise_intersecting(fam, k, mode) == kwise
     if not kwise:
         with pytest.raises(ValueError):
             addable_sets(fam, k, mode)
-        assert not _naive_is_maximal(n, members, k, mode)
+        assert not _naive_is_maximal(n, members, ok, mode)
         return
     want = {
         g for g in range(1 << n)
-        if g not in fam and _naive_addable(members, g, k, mode)
+        if g not in fam and _naive_addable(members, g, ok, mode)
     }
     assert set(SetFamily(n, state.addable())) == want
     assert set(addable_sets(fam, k, mode)) == want
-    assert is_maximal_k_wise(fam, k, mode) == _naive_is_maximal(n, members, k, mode)
+    assert is_maximal_k_wise(fam, k, mode) == _naive_is_maximal(n, members, ok, mode)
 
 
 @st.composite
@@ -74,13 +79,13 @@ def small_families(draw):
     return SetFamily.from_masks(n, masks)
 
 
-@given(small_families(), st.sampled_from([2, 3, 4]), st.sampled_from(MODES))
+@given(small_families(), st.sampled_from([2, 3, 4, 10**9]), st.sampled_from(MODES))
 @settings(deadline=None, max_examples=300)
 def test_state_matches_oracles(fam, k, mode):
     assert_matches_oracles(fam, k, mode)
 
 
-@given(small_families(), st.sampled_from([2, 3, 4]), st.sampled_from(MODES), st.randoms())
+@given(small_families(), st.sampled_from([2, 3, 4, 10**9]), st.sampled_from(MODES), st.randoms())
 @settings(deadline=None, max_examples=150)
 def test_fold_order_does_not_matter(fam, k, mode, rng):
     # the closure and the branch-and-bound fold members out of mask order
@@ -278,7 +283,7 @@ def test_of_is_the_ascending_fold_on_antichains_and_random_families(k, mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n, k", [(1, 4), (1, 7), (2, 6), (2, 9)])
 def test_of_is_the_ascending_fold_past_the_last_layer(n, k, mode):
-    # k > 2^n + 1: no family fills k layers, and a state keeps one per member
+    # k > 2^n + 1: no family reaches k members, so every state keeps no layers
     for bm in range(1 << (1 << n)):
         assert_of_is_the_ascending_fold(SetFamily(n, bm), k, mode)
 
@@ -287,16 +292,26 @@ def test_of_is_the_ascending_fold_past_the_last_layer(n, k, mode):
 @example(SetFamily(6, 0), 10**9, KwiseMode.DISTINCT, random.Random(0))
 @example(uniform(6, 5), 10**9, KwiseMode.WITH_REPETITION, random.Random(1))
 @settings(deadline=None, max_examples=200)
-def test_a_state_keeps_one_layer_per_member_up_to_k(fam, k, mode, rng):
-    # a layer past the family's size would stay empty, so none is kept
-    assert len(ReachState.of(fam, k, mode).layers) == min(fam.size, k)
+def test_below_k_a_state_is_the_common_intersection(fam, k, mode, rng):
+    # below k members there are no layers, only the AND of the members;
+    # the k-th member builds all k layers
+    def check(state, members):
+        if len(members) < k:
+            common = (1 << fam.n) - 1
+            for m in members:
+                common &= m
+            assert state.layers == () and state.common == common
+        else:
+            assert len(state.layers) == k
+
+    check(ReachState.of(fam, k, mode), fam.member_list())
     members = fam.member_list()
     rng.shuffle(members)
     state = ReachState(fam.n, k, mode)
-    assert state.layers == ()
-    for g in members:
+    check(state, [])
+    for i, g in enumerate(members):
         state = state.fold(g)
-        assert len(state.layers) == min(state.size, k)
+        check(state, members[: i + 1])
 
 
 def co_singletons(n):
@@ -311,6 +326,15 @@ def test_a_huge_k_costs_only_the_layers_the_family_fills():
     state = ReachState.of(co_singletons(18), 10**9)
     assert state.intersecting() and state.addable() != 0
     assert time.perf_counter() - start < 2
+
+
+def test_a_huge_k_reads_a_small_family_off_its_common_intersection():
+    # 2048 members below k = 10^9: one layer per member cost seconds
+    fam = star(12)
+    for check in (is_maximal_k_wise, addable_sets, maximal_closure):
+        start = time.perf_counter()
+        check(fam, 10**9)
+        assert time.perf_counter() - start < 0.5
 
 
 @given(small_families(), st.integers(2, 5), st.sampled_from(MODES), st.booleans())
