@@ -329,7 +329,7 @@ def test_a_huge_k_costs_only_the_layers_the_family_fills():
 
 
 def test_a_huge_k_reads_a_small_family_off_its_common_intersection():
-    # 2048 members below k = 10^9: one layer per member cost seconds
+    # 2048 members below k = 10^9: each call reads their common intersection
     fam = star(12)
     for check in (is_maximal_k_wise, addable_sets, maximal_closure):
         start = time.perf_counter()
