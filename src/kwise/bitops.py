@@ -200,12 +200,3 @@ def iter_bits(bm: int) -> Iterator[int]:
                 yield base + j
             base += 8
 
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, descending by value, ending with 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

@@ -20,7 +20,7 @@ from .bitops import (
     mask_from_elements,
     supercube_bits,
 )
-from .core import SetFamily, _check_k
+from .core import SetFamily
 
 
 def linked_cubes(n: int, s: int) -> SetFamily:
@@ -51,12 +51,6 @@ def linked_cubes_size(n: int, block_size: int) -> int:
     if not 0 < block_size < n:
         raise ValueError("block size must satisfy 0 < size < n")
     return (1 << (n - block_size)) + (1 << block_size) - 3
-
-
-def pair_of_cubes_size(n: int, block_size: int) -> int:
-    if not 0 <= block_size <= n:
-        raise ValueError("block size out of range")
-    return (1 << block_size) + (1 << (n - block_size)) - 1
 
 
 def balanced_block(n: int) -> int:
@@ -102,13 +96,6 @@ class Partition:
             start += width
         return cls(n, tuple(blocks))
 
-    def is_balanced(self) -> bool:
-        """Every block size within one of n divided by the block count."""
-        sizes = [b.bit_count() for b in self.blocks]
-        lo = self.n // len(self.blocks)
-        hi = -(-self.n // len(self.blocks))
-        return all(lo <= s <= hi for s in sizes)
-
 
 def series_of_cubes(partition: Partition) -> SetFamily:
     """Union of the down cubes of the partition blocks."""
@@ -122,19 +109,6 @@ def series_of_cubes_size(n: int, parts: int) -> int:
     """Size of the balanced series when parts divides n: parts*2^(n/parts) - parts + 1."""
     _require_divisible(n, parts, "block count")
     return parts * (1 << (n // parts)) - parts + 1
-
-
-def formula_min_size_bounds(n: int, k: int) -> Tuple[int, int]:
-    """Reference envelope 2^(n/(k-1)) and 2^(n/ceil(k/2)).
-
-    Both exponents must be integers; a non-divisible n is rejected rather
-    than evaluated at a rational exponent.
-    """
-    _check_k(k)
-    _require_divisible(n, k - 1, "k-1")
-    upper_div = -(-k // 2)
-    _require_divisible(n, upper_div, "ceil(k/2)")
-    return 1 << (n // (k - 1)), 1 << (n // upper_div)
 
 
 def janzer_size(n: int, k: int) -> int:

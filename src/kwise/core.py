@@ -13,7 +13,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from . import bitops
 from .bitops import (
@@ -25,7 +25,6 @@ from .bitops import (
     family_full_bitmap,
     full_mask,
     iter_bits,
-    mask_complement,
     project_intersect_bits,
     reverse_index_bits,
     supercube_bits,
@@ -159,24 +158,8 @@ def symmetric_difference_count(a: SetFamily, b: SetFamily) -> int:
     return (a.bitmap ^ b.bitmap).bit_count()
 
 
-def up_closure(family: SetFamily) -> SetFamily:
-    """Smallest upward-closed family containing the input."""
-    return SetFamily(family.n, up_close_bits(family.bitmap, family.n))
-
-
-def down_closure(family: SetFamily) -> SetFamily:
-    return SetFamily(family.n, down_close_bits(family.bitmap, family.n))
-
-
 def is_down_closed(family: SetFamily) -> bool:
     return down_close_bits(family.bitmap, family.n) == family.bitmap
-
-
-def restrict_minus(family: SetFamily, i: int) -> SetFamily:
-    """Members avoiding element i, on the same ground set."""
-    check_element(i, family.n)
-    pat = bitops._clear_bit_pattern(family.n, i - 1)
-    return SetFamily(family.n, family.bitmap & pat)
 
 
 def restrict_plus(family: SetFamily, i: int) -> SetFamily:
@@ -467,7 +450,14 @@ def maximal_closure(
     From then on every folded mask is a minimal member of the result, so
     the per-mask loop runs at most k times more than the result has
     minimal members, and the result is the same as adding those supersets
-    one at a time.  Below k members there is nothing to add in bulk.
+    one at a time.
+
+    Below k - 1 members a fold changes what blocks only when it adds the
+    (k-1)-th member or, with repetition, a mask that does not contain I,
+    the AND of the members.  So the lowest k - 1 - |F| addable masks, with
+    repetition only those below the lowest addable mask that misses part
+    of I, are added at once and addable is recomputed after them.  Each
+    fold between two such adds shrinks I, so there are at most n + 1.
     """
     state = _intersecting_state(family, k, mode)
     n = family.n
@@ -480,6 +470,18 @@ def maximal_closure(
             state = state._after(size, state.layers, state.common, state.members | supersets)
         if not addable:
             return SetFamily(n, state.members)
+        room = k - 1 - state.size
+        if room > 0:
+            batch = addable
+            if mode is KwiseMode.WITH_REPETITION:
+                missing = addable & ~supercube_bits(state.common, n)
+                batch &= (missing & -missing) - 1  # all of addable when missing is 0
+            if batch:
+                if batch.bit_count() > room:
+                    batch = _bitmap_of(itertools.islice(iter_bits(batch), room), n)
+                state = ReachState.of(SetFamily(n, state.members | batch), k, mode)
+                addable = state.addable()
+                continue
         g = (addable & -addable).bit_length() - 1
         grown = state.fold(g)
         if grown.relevant() == state.relevant():

@@ -11,13 +11,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from .bitops import check_element, cube_bits, mask_complement
-from .constructions import Partition
+from .bitops import check_element, cube_bits
 from .core import SetFamily, restrict_plus, _check_same_ground
 
-# without a partition, coordinates whose ratio reaches this form the reference blocks
+# coordinates whose ratio reaches this form the reference blocks
 STABILITY_THRESHOLD = Fraction(1, 3)
 
 
@@ -115,20 +114,15 @@ class StabilityStats:
 
 
 def stability_stats(
-    x_family: SetFamily,
-    y_family: SetFamily,
-    ell: int,
-    elem: int,
-    partition: Optional[Partition] = None,
+    x_family: SetFamily, y_family: SetFamily, ell: int, elem: int
 ) -> StabilityStats:
     """Exact stability ratios for a pair of families.
 
     alpha and beta scale the family sizes by 2^ell.  The per-coordinate
     ratios divide the size of the keep-and-strip restriction by the family
     size.  theta and phi measure how much of each family lies inside the
-    down cube of a reference block: the first two blocks of the partition
-    when one is supplied, else the coordinates whose ratio is at least
-    STABILITY_THRESHOLD (1/3).
+    down cube of its reference block, the coordinates whose ratio is at
+    least STABILITY_THRESHOLD (1/3).
     """
     _check_same_ground(x_family, y_family)
     n = x_family.n
@@ -150,14 +144,8 @@ def stability_stats(
 
     x_ratios, threshold_x = ratios_and_threshold(x_family)
     y_ratios, threshold_y = ratios_and_threshold(y_family)
-    if partition is not None:
-        if partition.n != n or len(partition.blocks) < 2:
-            raise ValueError("partition must split the same ground set into two or more blocks")
-        block_a, block_b = partition.blocks[0], partition.blocks[1]
-    else:
-        block_a, block_b = threshold_x, threshold_y
-    theta = Fraction((x_family.bitmap & cube_bits(block_a)).bit_count(), len(x_family))
-    phi = Fraction((y_family.bitmap & cube_bits(block_b)).bit_count(), len(y_family))
+    theta = Fraction((x_family.bitmap & cube_bits(threshold_x)).bit_count(), len(x_family))
+    phi = Fraction((y_family.bitmap & cube_bits(threshold_y)).bit_count(), len(y_family))
     graph = build_bipartite(x_family, y_family)
     return StabilityStats(
         n=n,
@@ -180,62 +168,6 @@ def f_xy(x: Fraction, y: Fraction) -> Fraction:
     x = Fraction(x)
     y = Fraction(y)
     return x + y - 2 * x * y
-
-
-@dataclass(frozen=True)
-class PremiseCheck:
-    label: str
-    ratio: Fraction
-    target: Fraction
-    within: bool
-
-
-@dataclass(frozen=True)
-class PremiseReport:
-    checks: Tuple[PremiseCheck, ...]
-
-    @property
-    def all_within(self) -> bool:
-        return all(c.within for c in self.checks)
-
-
-def audit_lemma_size_premises(
-    x_family: SetFamily,
-    y_family: SetFamily,
-    ell: int,
-    slack: Fraction,
-    elem: Optional[int] = None,
-) -> PremiseReport:
-    """Compare the six size ratios of a family pair to their targets.
-
-    Targets, all scaled by 2^ell: total size 3/2, size of the slice
-    containing the designated element 1/2, size of the slice avoiding it 1.
-    The designated element defaults to the last one.  A check passes when
-    the ratio sits within the caller's slack of the target.
-    """
-    _check_same_ground(x_family, y_family)
-    n = x_family.n
-    if elem is None:
-        elem = n
-    check_element(elem, n)
-    slack = Fraction(slack)
-    if slack < 0:
-        raise ValueError("slack must be nonnegative")
-    scale = 1 << ell
-    checks: List[PremiseCheck] = []
-    for name, fam in (("x", x_family), ("y", y_family)):
-        with_elem = len(restrict_plus(fam, elem))
-        without = len(fam) - with_elem
-        for label, count, target in (
-            (f"{name}_size", len(fam), Fraction(3, 2)),
-            (f"{name}_with_elem", with_elem, Fraction(1, 2)),
-            (f"{name}_without_elem", without, Fraction(1)),
-        ):
-            ratio = Fraction(count, scale)
-            checks.append(
-                PremiseCheck(label, ratio, target, abs(ratio - target) <= slack)
-            )
-    return PremiseReport(tuple(checks))
 
 
 @dataclass(frozen=True)

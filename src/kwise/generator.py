@@ -28,7 +28,6 @@ from .core import (
     is_down_closed,
     is_maximal_k_wise,
     _check_k,
-    _exact_eps,
 )
 
 
@@ -80,16 +79,6 @@ def coverage(family: SetFamily, k: int) -> CoverageResult:
             break
         covered = extended
     return CoverageResult(SetFamily(n, covered), covered.bit_count())
-
-
-def is_generator(family: SetFamily, k: int, eps: Fraction) -> bool:
-    """Whether at most an eps fraction of all masks is left uncovered."""
-    eps = _exact_eps(eps)
-    if eps < 0 or eps > 1:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    total = 1 << family.n
-    uncovered = total - coverage(family, k).count
-    return uncovered * eps.denominator <= eps.numerator * total
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ smallest such family skips the below-k stage.  An oracle built from
 first principles re-derives the answer at tiny n.
 
 The second half of the module holds the counting tools used to audit
-size bounds around a paired-cube split: minimum-defect decompositions of
-a set into two disjoint family members, the three-way partition of a
-family against the split, and the exact bound arithmetic.
+size bounds around a paired-cube split: the three-way partition of a
+family against the split and the exact bound arithmetic.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .bitops import (
     full_mask,
     iter_bits,
     mask_complement,
-    submasks,
     supercube_bits,
 )
 from .constructions import balanced_block, linked_cubes, linked_cubes_size, pair_of_cubes
@@ -354,7 +352,7 @@ def search_min(config: SearchConfig) -> SearchReport:
 
 def _naive_is_kwise(members: List[int], k: int, mode: KwiseMode) -> bool:
     if mode is KwiseMode.DISTINCT:
-        return all(
+        return len(members) < k or all(
             reduce(operator.and_, combo) != 0
             for combo in itertools.combinations(members, k)
         )
@@ -373,7 +371,7 @@ def _naive_addable(members: List[int], g: int, k: int, mode: KwiseMode) -> bool:
     g need checking.
     """
     if mode is KwiseMode.DISTINCT:
-        return all(
+        return len(members) < k - 1 or all(
             reduce(operator.and_, combo) & g != 0
             for combo in itertools.combinations(members, k - 1)
         )
@@ -442,39 +440,6 @@ def oracle_min(n: int, k: int, mode: KwiseMode = KwiseMode.DISTINCT) -> int:
     if best is None:
         raise RuntimeError("no maximal family found")
     return best
-
-
-def h_value(b: int, c: int, s: int) -> int:
-    """Defect of the pair (b, c) against the split (s, complement of s).
-
-    Counts the elements that stick out when b is matched to one side and c
-    to the other, taking the better of the two matchings.  Zero exactly
-    when one of b, c fits inside s and the other inside its complement.
-    """
-    straight = (b & ~s).bit_count() + (c & s).bit_count()
-    crossed = (b & s).bit_count() + (c & ~s).bit_count()
-    return min(straight, crossed)
-
-
-def decompose_min_h(family: SetFamily, a: int, s: int) -> Optional[Tuple[int, int]]:
-    """Split a into two disjoint family members minimizing the split defect.
-
-    Scans every unordered pair (b, c) of members with b | c = a and
-    b & c = 0, returns the one with least h_value, ties broken by smaller
-    then larger mask.  None when no such pair exists.
-    """
-    check_mask(a, family.n)
-    bitmap = family.bitmap
-    best: Optional[Tuple[int, int, int]] = None
-    for sub in submasks(a):
-        rest = a ^ sub
-        if sub <= rest and (bitmap >> sub) & 1 and (bitmap >> rest) & 1:
-            cand = (h_value(sub, rest, s), sub, rest)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return None
-    return best[1], best[2]
 
 
 def partition_relative_to_cubes(

@@ -1,8 +1,6 @@
 """Bit-level primitives checked against brute-force set arithmetic."""
 
-import random
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +10,11 @@ from kwise import (
     Partition,
     SetFamily,
     audit_claim_counts,
-    audit_lemma_size_premises,
     build_graph,
     count_edges_touching,
-    decompose_min_h,
     linked_cubes,
     pair_of_cubes,
     partition_relative_to_cubes,
-    restrict_minus,
     restrict_plus,
     stability_stats,
 )
@@ -36,7 +31,6 @@ from kwise.bitops import (
     mask_from_elements,
     project_intersect_bits,
     reverse_index_bits,
-    submasks,
     supercube_bits,
     up_close_bits,
 )
@@ -75,13 +69,9 @@ FAM3 = SetFamily(3, 0b10110110)
 ELEMENT_ENTRY_POINTS = {
     "mask_from_elements": lambda i: mask_from_elements([i], 3),
     "from_element_lists": lambda i: Partition.from_element_lists(3, [[i], [1, 2, 3]]),
-    "restrict_minus": lambda i: restrict_minus(FAM3, i),
     "restrict_plus": lambda i: restrict_plus(FAM3, i),
     "count_edges_touching": lambda i: count_edges_touching(build_graph(FAM3), i),
     "stability_stats": lambda i: stability_stats(FAM3, FAM3, 1, i),
-    "audit_lemma_size_premises": lambda i: audit_lemma_size_premises(
-        FAM3, FAM3, 1, Fraction(1), elem=i
-    ),
 }
 
 
@@ -98,7 +88,6 @@ MASK_ENTRY_POINTS = {
     "linked_cubes": lambda m: linked_cubes(3, m),
     "pair_of_cubes": lambda m: pair_of_cubes(3, m),
     "Partition": lambda m: Partition(3, (m, 0b110)),
-    "decompose_min_h": lambda m: decompose_min_h(FAM3, m, 0b001),
     "partition_relative_to_cubes": lambda m: partition_relative_to_cubes(FAM3, m),
     "audit_claim_counts": lambda m: audit_claim_counts(FAM3, m, 0),
 }
@@ -138,8 +127,6 @@ def test_full_and_complement():
 
 def test_iter_bits_and_submasks():
     assert list(iter_bits(0b10110)) == [1, 2, 4]
-    assert sorted(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
-    assert list(submasks(0)) == [0]
 
 
 @given(st.integers(min_value=0, max_value=(1 << 4096) - 1) | st.binary(max_size=600).map(

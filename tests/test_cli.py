@@ -15,7 +15,6 @@ from kwise import (
     is_k_wise_intersecting,
     linked_cubes,
     pair_of_cubes,
-    pair_of_cubes_size,
 )
 from kwise import cli
 from kwise.cli import main
@@ -59,7 +58,7 @@ def test_construct_with_explicit_block_and_parts(capsys):
         "--no-timestamp",
     )
     assert rec["params"]["s"] == [1, 3]
-    assert rec["result"]["size"] == pair_of_cubes_size(4, 2)
+    assert rec["result"]["size"] == (1 << 2) + (1 << 2) - 1
     rec = run_record(
         capsys, "construct", "series-of-cubes", "--n", "6", "--parts", "3",
         "--no-timestamp",
@@ -269,7 +268,7 @@ def test_sidecar_for_large_ground(tmp_path, capsys):
     assert str(sidecar) == payload["path"]
     text = sidecar.read_text().strip()
     assert hashlib.sha256(text.encode()).hexdigest() == payload["sha256"]
-    assert rec["result"]["size"] == pair_of_cubes_size(21, 10)
+    assert rec["result"]["size"] == (1 << 10) + (1 << 11) - 1
     fam = SetFamily.from_hex(21, text)
     assert len(fam) == rec["result"]["size"]
 

@@ -14,9 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kwise import (
-    Partition,
     SetFamily,
-    audit_lemma_size_premises,
     build_bipartite,
     build_graph,
     count_edges_touching,
@@ -103,17 +101,6 @@ def test_stability_stats_hand_example():
     assert stats.e_elem == 4
 
 
-def test_stability_stats_with_partition():
-    x = SetFamily(3, cube_bits(0b011))
-    y = SetFamily(3, cube_bits(0b100))
-    part = Partition.from_element_lists(3, [[3], [1, 2]])
-    stats = stability_stats(x, y, ell=1, elem=1, partition=part)
-    # reference blocks come from the partition, not the threshold scan
-    assert stats.theta == Fraction(1, 4)  # only {} and {3} fit in block {3}
-    assert stats.phi == Fraction(1, 2)  # only {} fits in block {1,2}
-    assert stats.alpha == 2
-
-
 def test_stability_stats_validation():
     x = SetFamily(3, cube_bits(0b011))
     with pytest.raises(ValueError):
@@ -122,10 +109,6 @@ def test_stability_stats_validation():
         stability_stats(x, x, ell=1, elem=4)
     with pytest.raises(ValueError):
         stability_stats(x, SetFamily(3, 0), ell=1, elem=1)
-    with pytest.raises(ValueError):
-        stability_stats(
-            x, x, ell=1, elem=1, partition=Partition.contiguous(3, 1)
-        )
 
 
 def test_f_xy_values():
@@ -133,42 +116,6 @@ def test_f_xy_values():
     assert f_xy(0, 0) == 0
     assert f_xy(Fraction(1, 2), Fraction(7, 13)) == Fraction(1, 2)
     assert f_xy(Fraction(1, 5), Fraction(1, 7)) == f_xy(Fraction(1, 7), Fraction(1, 5))
-
-
-def test_premise_report_on_matching_sizes():
-    # scale 4: sizes 6 = 3/2 * 4, slice with element 2 = 1/2 * 4, rest 4
-    x = SetFamily.from_masks(3, [4, 5, 0, 1, 2, 3])
-    report = audit_lemma_size_premises(x, x, ell=2, slack=Fraction(0), elem=3)
-    assert report.all_within
-    labels = [c.label for c in report.checks]
-    assert labels == [
-        "x_size",
-        "x_with_elem",
-        "x_without_elem",
-        "y_size",
-        "y_with_elem",
-        "y_without_elem",
-    ]
-    assert [c.target for c in report.checks] == [
-        Fraction(3, 2),
-        Fraction(1, 2),
-        Fraction(1),
-    ] * 2
-
-
-def test_premise_report_slack():
-    x = SetFamily.from_masks(3, [4, 5, 0, 1, 2, 3])
-    y = SetFamily.from_masks(3, [4, 5, 0, 1, 2])  # one short of target
-    tight = audit_lemma_size_premises(x, y, ell=2, slack=Fraction(0), elem=3)
-    assert not tight.all_within
-    assert [c.label for c in tight.checks if not c.within] == [
-        "y_size",
-        "y_without_elem",
-    ]
-    loose = audit_lemma_size_premises(x, y, ell=2, slack=Fraction(1, 4), elem=3)
-    assert loose.all_within
-    with pytest.raises(ValueError):
-        audit_lemma_size_premises(x, y, ell=2, slack=Fraction(-1), elem=3)
 
 
 # --------------------------------------------------- bipartization

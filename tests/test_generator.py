@@ -14,9 +14,8 @@ from kwise import (
     Partition,
     SetFamily,
     coverage,
-    down_closure,
+    down_close_bits,
     enumerate_maximal_families,
-    is_generator,
     linked_cubes,
     pair_of_cubes,
     series_of_cubes,
@@ -51,6 +50,8 @@ def test_coverage_of_empty_set_family():
 def test_coverage_level_one_is_members():
     fam = SetFamily.from_masks(4, [0b0011, 0b0101, 0b1000])
     assert coverage(fam, 1).covered == fam
+    with pytest.raises(ValueError):
+        coverage(fam, 0)
 
 
 @given(families(), st.integers(min_value=1, max_value=4))
@@ -64,7 +65,7 @@ def test_coverage_matches_naive(fam, k):
 def down_closed_families(draw, max_n=5):
     n = draw(st.integers(min_value=1, max_value=max_n))
     masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=4))
-    return down_closure(SetFamily.from_masks(n, masks))
+    return SetFamily(n, down_close_bits(SetFamily.from_masks(n, masks).bitmap, n))
 
 
 @given(down_closed_families(), st.integers(min_value=1, max_value=4))
@@ -97,26 +98,11 @@ def test_series_needs_all_its_parts():
 
 
 def test_linked_cubes_members_never_disjoint():
-    """Any two members share an element, so two-fold coverage adds nothing
-    and the family is far from a two-generator."""
+    """Any two members share an element, so two-fold coverage adds nothing."""
     fam = linked_cubes(5, 0b00011)
     res = coverage(fam, 2)
     assert res.count == len(fam) == 9
-    assert not is_generator(fam, 2, Fraction(0))
-    assert is_generator(fam, 2, Fraction(23, 32))
-    assert not is_generator(fam, 2, Fraction(22, 32))
-
-
-def test_is_generator_validation():
-    fam = SetFamily.from_masks(2, [1, 2])
-    assert is_generator(fam, 2, Fraction(1, 4))
-    with pytest.raises(ValueError):
-        is_generator(fam, 2, Fraction(-1, 4))
-    for eps in (float("inf"), float("-inf"), "1/0"):
-        with pytest.raises(ValueError, match="eps"):
-            is_generator(fam, 2, eps)
-    with pytest.raises(ValueError):
-        coverage(fam, 0)
+    assert res.fraction == Fraction(9, 32)
 
 
 def test_correspondence_requires_maximal():

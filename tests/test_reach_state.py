@@ -50,26 +50,21 @@ def dense_layers(state):
 def assert_matches_oracles(fam, k, mode, state=None):
     n, members = fam.n, fam.member_list()
     state = ReachState.of(fam, k, mode) if state is None else state
-    # no collection, with one new member, has 2^n + 2 distinct sets, so the
-    # oracles answer alike for every larger k; they get that k because
-    # itertools.combinations fills an index array of k entries even when
-    # the pool is shorter
-    ok = min(k, (1 << n) + 2)
-    kwise = _naive_is_kwise(members, ok, mode)
+    kwise = _naive_is_kwise(members, k, mode)
     assert state.intersecting() == kwise
     assert is_k_wise_intersecting(fam, k, mode) == kwise
     if not kwise:
         with pytest.raises(ValueError):
             addable_sets(fam, k, mode)
-        assert not _naive_is_maximal(n, members, ok, mode)
+        assert not _naive_is_maximal(n, members, k, mode)
         return
     want = {
         g for g in range(1 << n)
-        if g not in fam and _naive_addable(members, g, ok, mode)
+        if g not in fam and _naive_addable(members, g, k, mode)
     }
     assert set(SetFamily(n, state.addable())) == want
     assert set(addable_sets(fam, k, mode)) == want
-    assert is_maximal_k_wise(fam, k, mode) == _naive_is_maximal(n, members, ok, mode)
+    assert is_maximal_k_wise(fam, k, mode) == _naive_is_maximal(n, members, k, mode)
 
 
 @st.composite
@@ -335,6 +330,21 @@ def test_a_huge_k_reads_a_small_family_off_its_common_intersection():
         start = time.perf_counter()
         check(fam, 10**9)
         assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_huge_k_closes_a_small_family_in_bulk(mode):
+    # below k - 1 members the closure adds every mask that changes no
+    # blocking at once: star(18) takes all 2^18 masks, and {full set}
+    # with repetition folds {1} and then takes the rest of its star
+    n = 18
+    if mode is KwiseMode.DISTINCT:
+        fam, want = star(n), SetFamily(n, (1 << (1 << n)) - 1)
+    else:
+        fam, want = SetFamily.from_masks(n, [(1 << n) - 1]), star(n)
+    start = time.perf_counter()
+    assert maximal_closure(fam, 10**9, mode) == want
+    assert time.perf_counter() - start < 0.5
 
 
 @given(small_families(), st.integers(2, 5), st.sampled_from(MODES), st.booleans())

@@ -20,14 +20,11 @@ from kwise import (
     canonical_form,
     complement_family,
     cube_bits,
-    decompose_min_h,
     enumerate_maximal_families,
     enumerate_upsets,
     full_mask,
-    h_value,
     linked_cubes,
     oracle_min,
-    pair_of_cubes,
     partition_relative_to_cubes,
     product_bound_terms,
     search_min,
@@ -361,6 +358,10 @@ def test_search_config_validation():
         SearchConfig(n=3, k=3, mode="distinct")
     with pytest.raises(ValueError):
         oracle_min(6, 3)
+    # a family of fewer than k members passes the oracle without listing
+    # k-member collections
+    assert oracle_min(3, 10**9) == 8
+    assert oracle_min(3, 10**9, REPETITION) == 1
 
 
 def test_branch_and_bound_finds_upclosed_minima():
@@ -447,45 +448,7 @@ def test_region_minimal_matches_brute_force():
     assert verdicts == {(j, v) for j in (2, 3, 4, 5) for v in (True, False)}
 
 
-# ------------------------------------------------ split defect audit
-
-
-def test_h_value_example():
-    assert h_value(0b101, 0b1000, 0b011) == 1
-    assert h_value(0b001, 0b100, 0b011) == 0
-    assert h_value(0, 0, 0b011) == 0
-
-
-def naive_decompose(family, a, s):
-    members = family.member_list()
-    best = None
-    for b, c in itertools.combinations_with_replacement(members, 2):
-        if b & c == 0 and b | c == a:
-            cand = (h_value(b, c, s), b, c)
-            if best is None or cand < best:
-                best = cand
-    return None if best is None else (best[1], best[2])
-
-
-def test_decompose_example():
-    fam = pair_of_cubes(5, 0b00011)
-    assert decompose_min_h(fam, 0b01101, 0b00011) == (1, 0b01100)
-    assert decompose_min_h(fam, 0b00011, 0b00011) == (0, 0b00011)
-    # nothing in the family unions to the full ground minus nothing
-    assert decompose_min_h(SetFamily.from_masks(3, [1]), 0b111, 1) is None
-    with pytest.raises(ValueError):
-        decompose_min_h(fam, 1 << 5, 0b00011)
-
-
-@given(
-    st.integers(min_value=0, max_value=(1 << 16) - 1),
-    st.integers(min_value=0, max_value=15),
-    st.integers(min_value=0, max_value=15),
-)
-@settings(deadline=None, max_examples=80)
-def test_decompose_matches_naive(bm, a, s):
-    fam = SetFamily(4, bm)
-    assert decompose_min_h(fam, a, s) == naive_decompose(fam, a, s)
+# -------------------------------------------------- cube-split audit
 
 
 def test_partition_relative_to_cubes_star_complement():
