@@ -116,33 +116,33 @@ def _maximal_members(bm: int, n: int) -> int:
     return bm & ~larger
 
 
-def _relabelings(bitmap: int, j: int, n: int) -> Iterator[int]:
-    """The j! relabelings of a family bitmap under permutations of coordinates 0..j-1.
+def _relabelings(bitmap: int, n: int) -> Iterator[int]:
+    """The n! relabelings of a family bitmap under permutations of its coordinates.
 
     In Heap's order ("Permutations by interchanges", 1963) each one is the
     one before with two coordinates a < b exchanged.  That is one delta
     swap of the whole bitmap: the indices with bit a set and bit b clear
-    trade places with those 2^b - 2^a above.  The j(j-1)/2 swap masks are
+    trade places with those 2^b - 2^a above.  The n(n-1)/2 swap masks are
     built once per scan and each swap is applied inline.
     """
     yield bitmap
-    if j < 2:
+    if n < 2:
         return
-    clear = [_clear_bit_pattern(n, i) for i in range(j)]
+    clear = [_clear_bit_pattern(n, i) for i in range(n)]
     # swaps[b][a]: shift and selection mask of the exchange of a < b
-    swaps = [[((1 << b) - (1 << a), clear[b] & ~clear[a]) for a in range(b)] for b in range(j)]
+    swaps = [[((1 << b) - (1 << a), clear[b] & ~clear[a]) for a in range(b)] for b in range(n)]
     first = swaps[1][0][1]
-    c = [0] * j
+    c = [0] * n
     while True:
         # every other step of Heap's order exchanges coordinates 0 and 1
         moved = (bitmap ^ (bitmap >> 1)) & first
         bitmap ^= moved ^ (moved << 1)
         yield bitmap
         i = 2
-        while i < j and c[i] == i:
+        while i < n and c[i] == i:
             c[i] = 0
             i += 1
-        if i == j:
+        if i == n:
             return
         shift, pat = swaps[i][c[i] if i & 1 else 0]
         moved = (bitmap ^ (bitmap >> shift)) & pat

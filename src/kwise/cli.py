@@ -3,7 +3,7 @@
 Each subcommand maps to one library operation and appends a single
 record to the ledger (default stdout):
 
-    {"schema_version": 1, "command": ..., "params": {...}, "seed": ...,
+    {"schema_version": 2, "command": ..., "params": {...}, "seed": ...,
      "result": {...}, "timestamp": "..."}
 
 Identical (command, params, seed) runs produce identical result payloads
@@ -44,7 +44,7 @@ from .disjointness import build_bipartite, build_graph, count_edges_touching, st
 from .generator import coverage
 from .search import SearchConfig, audit_claim_counts, search_min
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 INLINE_FAMILY_BITS = 1 << 20
 MAX_INLINE_EDGES = 4096
 VOLATILE_RESULT_KEYS = ("seconds",)
@@ -249,12 +249,14 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     if malformed:
         print(f"warning: skipped {malformed} malformed ledger line(s)", file=sys.stderr)
 
-    seen: Dict[Tuple[str, str, str], str] = {}
+    # a format version may change a result, so records agree only within one
+    seen: Dict[Tuple[str, str, str, str], str] = {}
     for rec in records:
         key = (
             rec["command"],
             json.dumps(rec["params"], sort_keys=True),
             json.dumps(rec.get("seed"), sort_keys=True),
+            json.dumps(rec.get("schema_version")),
         )
         payload = _stable_payload(rec["result"])
         if key in seen and seen[key] != payload:

@@ -4,11 +4,9 @@ search_min answers, exactly, how small a maximal k-wise intersecting
 family on n elements can be.  Families below the distinctness threshold
 (fewer than k members) are decided by their common intersection, as
 core.ReachState decides them.  The smallest size that can be maximal
-there, the floor, always is, so the floor is the minimum.  The branch
-and bound over upward-closed families, which covers families of k or
-more members, then adds only its node count, until a search for the
-smallest such family skips the below-k stage.  An oracle built from
-first principles re-derives the answer at tiny n.
+there, the floor, always is, so the floor is the minimum, and the
+witnesses are the canonical forms of the floor's maximal families.  An
+oracle built from first principles re-derives the answer at tiny n.
 
 The second half of the module holds the counting tools used to audit
 size bounds around a paired-cube split: the three-way partition of a
@@ -24,7 +22,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .bitops import (
     _relabelings,
@@ -35,7 +33,6 @@ from .bitops import (
     full_mask,
     iter_bits,
     mask_complement,
-    supercube_bits,
 )
 from .constructions import balanced_block, linked_cubes, linked_cubes_size, pair_of_cubes
 from .core import (
@@ -65,7 +62,7 @@ def canonical_form(family: SetFamily) -> SetFamily:
     n = family.n
     if n > MAX_CANONICAL_GROUND:
         raise ValueError(f"canonical form capped at n={MAX_CANONICAL_GROUND}, got {n}")
-    return SetFamily(n, min(_relabelings(family.bitmap, n, n)))
+    return SetFamily(n, min(_relabelings(family.bitmap, n)))
 
 
 def _least_relabeling(n: int, bitmap: int, seen: Set[int]) -> int:
@@ -75,7 +72,7 @@ def _least_relabeling(n: int, bitmap: int, seen: Set[int]) -> int:
     Every relabeling the walk meets is also added to seen, so a caller
     meeting many labeled copies of a few classes scans each class once.
     """
-    copies = set(_relabelings(bitmap, n, n))
+    copies = set(_relabelings(bitmap, n))
     seen |= copies
     return min(copies)
 
@@ -168,11 +165,12 @@ class SearchConfig:
 class SearchReport:
     """Outcome of a minimum-size search.
 
-    f_value is the smallest maximal-family size found (None if the budget
-    ran out before any candidate appeared).  Witnesses are canonical forms,
-    pairwise non-isomorphic, sorted by bitmap; matched_linked_cubes aligns
-    with them and flags isomorphism to the balanced linked-cubes family.
-    When optimal is False the true minimum lies in [lower_bound, f_value].
+    f_value is the minimum, which always equals lower_bound, or None if the
+    budget ran out before the scan met a maximal family.  Witnesses are
+    canonical forms, pairwise non-isomorphic, sorted by bitmap;
+    matched_linked_cubes aligns with them and flags isomorphism to the
+    balanced linked-cubes family.  When optimal is False the scan was cut
+    short, so the witness list may miss classes.
     """
 
     config: SearchConfig
@@ -189,115 +187,16 @@ class SearchReport:
         return bool(self.witnesses) and all(self.matched_linked_cubes)
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _BranchAndBound:
-    """Depth-first search over upward-closed families in ascending mask order.
-
-    Masks are decided smallest first, so every subset of a mask is settled
-    before the mask itself and upward closure reduces to forcing in any
-    mask that has an already-chosen subset.  Pruning: partial families
-    whose members already intersect to the empty set somewhere in the
-    first k layers, partial families too large to beat the incumbent, and
-    partial assignments that a relabeling of the first j coordinates beats
-    stage by stage (masks below 4, then below 8, ..., then below 2^j) once
-    every mask below 2^j is decided; the relabelings come from the same
-    swap scan as the canonical form.  Leaves with at least k members get a
-    full maximality check.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        mode: KwiseMode,
-        deadline: float,
-        best: Optional[int] = None,
-    ):
-        self.n = n
-        self.k = k
-        self.mode = mode
-        self.deadline = deadline
-        self.count = 1 << n
-        self.checkpoints: Dict[int, int] = {1 << j: j for j in range(2, n + 1)}
-        self.best = best
-        self.found: List[int] = []
-        self.nodes = 0
-
-    def run(self) -> bool:
-        try:
-            self._branch(0, 0, ReachState(self.n, self.k, self.mode))
-        except _BudgetExceeded:
-            return False
-        return True
-
-    def _too_big(self, size: int) -> bool:
-        if self.best is None or size < self.best:
-            return False
-        # ties matter only when the incumbent size is itself reachable here
-        return size > self.best or self.best < self.k
-
-    def _branch(self, d: int, forced_bm: int, state: ReachState) -> None:
-        self.nodes += 1
-        if self.nodes & 255 == 0 and time.monotonic() > self.deadline:
-            raise _BudgetExceeded
-        if self._too_big(state.size):
-            return
-        if d in self.checkpoints:
-            if not self._region_minimal(state.members, self.checkpoints[d]):
-                return
-        if d == self.count:
-            if state.size >= self.k and state.maximal():
-                self._record(state)
-            return
-        if (forced_bm >> d) & 1:
-            self._enter(d, forced_bm, state)
-            return
-        self._branch(d + 1, forced_bm, state)
-        self._enter(d, forced_bm, state)
-
-    def _enter(self, m: int, forced_bm: int, state: ReachState) -> None:
-        state = state.fold(m)
-        if state.hits_empty():
-            return
-        self._branch(m + 1, forced_bm | supercube_bits(m, self.n), state)
-
-    def _record(self, state: ReachState) -> None:
-        if self.best is None or state.size < self.best:
-            self.best = state.size
-            self.found = [state.members]
-        elif state.size == self.best:
-            self.found.append(state.members)
-
-    def _region_minimal(self, members: int, j: int) -> bool:
-        """Whether no relabeling of the members' first j coordinates is smaller stage by stage.
-
-        Stage i holds the masks below 2^i, for i = 1..j.  Each relabeling is
-        compared with the members at the first stage where the two differ,
-        and the first smaller one ends the walk.
-        """
-        stages = [(1 << (1 << i)) - 1 for i in range(1, j + 1)]
-        base = [members & sm for sm in stages]
-        for bm in _relabelings(members, j, j):
-            for sm, low in zip(stages, base):
-                cut = bm & sm
-                if cut != low:
-                    if cut < low:
-                        return False
-                    break
-        return True
-
-
 def search_min(config: SearchConfig) -> SearchReport:
     """Exact minimum size of a maximal k-wise intersecting family, with witnesses.
 
     Decides the families below the distinctness threshold by their common
-    intersection; the floor always holds a maximal one, so the witnesses
-    are the canonical forms of the floor's maximal families.  The
-    branch-and-bound stage adds only its node count.  A run cut short by
-    the budget is flagged non-optimal and carries honest bounds.
+    intersection; the floor always holds a maximal one, so the minimum is
+    the floor and the witnesses are the canonical forms of the floor's
+    maximal families.  nodes_explored counts every combination of at most
+    floor members, so a complete run reports the sum of C(2^n, s) for s
+    from 1 to the floor.  A run cut short by the budget is flagged
+    non-optimal and its witness list may miss classes.
     """
     start = time.monotonic()
     deadline = start + config.budget
@@ -309,27 +208,18 @@ def search_min(config: SearchConfig) -> SearchReport:
     forms: List[int] = []
     seen: Set[int] = set()
     interrupted = False
-    try:
-        for size, bm in _below_k_maximal(n, k, mode):
-            if size > floor:
-                break
-            nodes += 1
-            if nodes & 255 == 0 and time.monotonic() > deadline:
-                raise _BudgetExceeded
-            if bm and bm not in seen:
-                forms.append(_least_relabeling(n, bm, seen))
-    except _BudgetExceeded:
-        interrupted = True
+    for size, bm in _below_k_maximal(n, k, mode):
+        if size > floor:
+            break
+        nodes += 1
+        if nodes & 255 == 0 and time.monotonic() > deadline:
+            interrupted = True
+            break
+        if bm and bm not in seen:
+            forms.append(_least_relabeling(n, bm, seen))
     # the empty set and floor - 1 other masks are maximal: forms is empty
     # only when the budget ran out first
     best = floor if forms else None
-
-    if not interrupted:
-        # it records only families of k or more members, larger than the
-        # floor, so it runs for its node count alone
-        engine = _BranchAndBound(n, k, mode, deadline, best=floor)
-        interrupted = not engine.run()
-        nodes += engine.nodes
 
     witnesses = tuple(SetFamily(n, bm) for bm in sorted(forms))
     matched = (False,) * len(witnesses)

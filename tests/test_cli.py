@@ -38,7 +38,7 @@ def test_construct_linked_cubes_record(capsys):
     rec = run_record(
         capsys, "construct", "linked-cubes", "--n", "9", "--no-timestamp"
     )
-    assert rec["schema_version"] == 1
+    assert rec["schema_version"] == 2
     assert rec["command"] == "construct"
     assert rec["seed"] == 0
     assert rec["params"] == {
@@ -388,7 +388,7 @@ def test_report_empty_ledger(tmp_path, capsys):
 def test_report_integrity_violation(tmp_path, capsys):
     ledger = tmp_path / "bad.jsonl"
     base = {
-        "schema_version": 1,
+        "schema_version": 2,
         "command": "search-min",
         "params": {"n": 3, "k": 3, "mode": "distinct", "budget": 60.0},
         "seed": 0,
@@ -402,6 +402,28 @@ def test_report_integrity_violation(tmp_path, capsys):
     assert out == ""
     assert not (tmp_path / "bad_f_table.csv").exists()
     assert not (tmp_path / "bad_linked_cubes_maximality.csv").exists()
+
+
+def test_report_compares_records_within_one_schema_version(tmp_path, capsys):
+    # the node count of search-min changed with schema version 2, so a
+    # ledger that spans the change holds both counts for one run
+    base = {
+        "command": "search-min",
+        "params": {"n": 4, "k": 3, "mode": "distinct", "budget": 60.0},
+        "seed": 0,
+    }
+    v1 = {**base, "schema_version": 1, "result": {"f": 2, "nodes": 214}}
+    v2 = {**base, "schema_version": 2, "result": {"f": 2, "nodes": 136}}
+    v2_other = {**v2, "result": {"f": 2, "nodes": 137}}
+    ledger = tmp_path / "spans.jsonl"
+    ledger.write_text(json.dumps(v1) + "\n" + json.dumps(v2) + "\n")
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 0, err
+    assert json.loads(out)["result"]["f_rows"] == 1
+    ledger.write_text(json.dumps(v2) + "\n" + json.dumps(v2_other) + "\n")
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 1
+    assert "integrity violation for search-min" in err
 
 
 def test_report_skips_non_object_params_or_result(tmp_path, capsys):
@@ -482,7 +504,7 @@ def test_report_survives_json_values_where_scalars_belong(
 def test_report_ignores_volatile_divergence(tmp_path, capsys):
     ledger = tmp_path / "ok.jsonl"
     base = {
-        "schema_version": 1,
+        "schema_version": 2,
         "command": "search-min",
         "params": {"n": 3, "k": 3, "mode": "distinct", "budget": 60.0},
         "seed": 0,

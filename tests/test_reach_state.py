@@ -83,7 +83,7 @@ def test_state_matches_oracles(fam, k, mode):
 @given(small_families(), st.sampled_from([2, 3, 4, 10**9]), st.sampled_from(MODES), st.randoms())
 @settings(deadline=None, max_examples=150)
 def test_fold_order_does_not_matter(fam, k, mode, rng):
-    # the closure and the branch-and-bound fold members out of mask order
+    # the closure folds members out of mask order
     members = fam.member_list()
     rng.shuffle(members)
     state = ReachState(fam.n, k, mode)

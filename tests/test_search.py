@@ -3,8 +3,8 @@
 import hashlib
 import itertools
 import random
-import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +32,6 @@ from kwise import (
     up_close_bits,
 )
 from kwise.search import (
-    _BranchAndBound,
     _below_k_maximal,
     _least_relabeling,
     _naive_is_maximal,
@@ -102,18 +101,16 @@ def test_canonical_form_is_least_relabeling(case):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_relabelings_are_the_permuted_copies(n):
-    """Swap by swap, the scan yields each relabeling of the first j
-    coordinates once per permutation, for random, empty and full families."""
+    """Swap by swap, the scan yields each relabeling once per coordinate
+    permutation, for random, empty and full families."""
     rng = random.Random(n)
     full = (1 << (1 << n)) - 1
-    for j in range(1, n + 1):
-        for bm in [0, full] + [rng.getrandbits(1 << n) for _ in range(6)]:
-            fam = SetFamily(n, bm)
-            want = sorted(
-                relabel(fam, perm + tuple(range(j, n))).bitmap
-                for perm in itertools.permutations(range(j))
-            )
-            assert sorted(_relabelings(bm, j, n)) == want
+    for bm in [0, full] + [rng.getrandbits(1 << n) for _ in range(6)]:
+        fam = SetFamily(n, bm)
+        want = sorted(
+            relabel(fam, perm).bitmap for perm in itertools.permutations(range(n))
+        )
+        assert sorted(_relabelings(bm, n)) == want
 
 
 @pytest.mark.parametrize(
@@ -271,59 +268,61 @@ def _witness_digest(report):
 
 
 @pytest.mark.parametrize(
-    "n,k,mode,f,nodes,lower_bound,classes,digest",
+    "n,k,mode,f,lower_bound,classes,digest",
     [
-        (1, 2, DISTINCT, 1, 7, 1, 2, "17f8af97ad4a"),
-        (1, 2, REPETITION, 1, 7, 1, 2, "17f8af97ad4a"),
-        (1, 3, DISTINCT, 2, 8, 2, 1, "4e07408562be"),
-        (1, 3, REPETITION, 1, 7, 1, 2, "17f8af97ad4a"),
-        (1, 4, DISTINCT, 2, 8, 2, 1, "4e07408562be"),
-        (1, 4, REPETITION, 1, 7, 1, 2, "17f8af97ad4a"),
-        (1, 5, DISTINCT, 2, 8, 2, 1, "4e07408562be"),
-        (1, 5, REPETITION, 1, 7, 1, 2, "17f8af97ad4a"),
-        (2, 2, DISTINCT, 1, 13, 1, 1, "6b86b273ff34"),
-        (2, 2, REPETITION, 1, 13, 1, 1, "6b86b273ff34"),
-        (2, 3, DISTINCT, 2, 22, 2, 4, "afa538892956"),
-        (2, 3, REPETITION, 1, 13, 1, 1, "6b86b273ff34"),
-        (2, 4, DISTINCT, 3, 26, 3, 3, "19c36628a174"),
-        (2, 4, REPETITION, 1, 13, 1, 1, "6b86b273ff34"),
-        (2, 5, DISTINCT, 4, 27, 4, 1, "e629fa6598d7"),
-        (2, 5, REPETITION, 1, 13, 1, 1, "6b86b273ff34"),
-        (3, 2, DISTINCT, 1, 25, 1, 1, "6b86b273ff34"),
-        (3, 2, REPETITION, 1, 25, 1, 1, "6b86b273ff34"),
-        (3, 3, DISTINCT, 2, 67, 2, 5, "afa444052e13"),
-        (3, 3, REPETITION, 1, 25, 1, 1, "6b86b273ff34"),
-        (3, 4, DISTINCT, 3, 131, 3, 13, "280e46e3503b"),
-        (3, 4, REPETITION, 1, 25, 1, 1, "6b86b273ff34"),
-        (3, 5, DISTINCT, 4, 203, 4, 20, "eb4fceb75c80"),
-        (3, 5, REPETITION, 1, 25, 1, 1, "6b86b273ff34"),
-        (4, 2, DISTINCT, 1, 49, 1, 1, "6b86b273ff34"),
-        (4, 2, REPETITION, 1, 49, 1, 1, "6b86b273ff34"),
-        (4, 3, DISTINCT, 2, 214, 2, 8, "b4d2bb0c99dd"),
-        (4, 3, REPETITION, 1, 49, 1, 1, "6b86b273ff34"),
-        (4, 4, DISTINCT, 3, 822, 3, 36, "2c16ee1fd77c"),
-        (4, 4, REPETITION, 1, 49, 1, 1, "6b86b273ff34"),
-        (4, 5, DISTINCT, 4, 2683, 4, 116, "e2c1e9bf02c6"),
-        (4, 5, REPETITION, 1, 49, 1, 1, "6b86b273ff34"),
-        (5, 2, DISTINCT, 1, 97, 1, 1, "6b86b273ff34"),
-        (5, 2, REPETITION, 1, 97, 1, 1, "6b86b273ff34"),
-        (5, 3, DISTINCT, 2, 717, 2, 11, "d5a57d22579f"),
-        (5, 3, REPETITION, 1, 97, 1, 1, "6b86b273ff34"),
-        (5, 4, DISTINCT, 3, 5873, 3, 82, "600b494acc0c"),
-        (5, 4, REPETITION, 1, 97, 1, 1, "6b86b273ff34"),
-        (5, 5, DISTINCT, 4, 42097, 4, 489, "31468a4af4b9"),
-        (5, 5, REPETITION, 1, 97, 1, 1, "6b86b273ff34"),
-        (6, 3, DISTINCT, 2, 2524, 2, 15, "0303e0a39ec6"),
-        (6, 4, DISTINCT, 3, 44860, 3, 168, "eca2fb098810"),
-        (7, 3, DISTINCT, 2, 9275, 2, 19, "89078c930799"),
+        (1, 2, DISTINCT, 1, 1, 2, "17f8af97ad4a"),
+        (1, 2, REPETITION, 1, 1, 2, "17f8af97ad4a"),
+        (1, 3, DISTINCT, 2, 2, 1, "4e07408562be"),
+        (1, 3, REPETITION, 1, 1, 2, "17f8af97ad4a"),
+        (1, 4, DISTINCT, 2, 2, 1, "4e07408562be"),
+        (1, 4, REPETITION, 1, 1, 2, "17f8af97ad4a"),
+        (1, 5, DISTINCT, 2, 2, 1, "4e07408562be"),
+        (1, 5, REPETITION, 1, 1, 2, "17f8af97ad4a"),
+        (2, 2, DISTINCT, 1, 1, 1, "6b86b273ff34"),
+        (2, 2, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (2, 3, DISTINCT, 2, 2, 4, "afa538892956"),
+        (2, 3, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (2, 4, DISTINCT, 3, 3, 3, "19c36628a174"),
+        (2, 4, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (2, 5, DISTINCT, 4, 4, 1, "e629fa6598d7"),
+        (2, 5, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (3, 2, DISTINCT, 1, 1, 1, "6b86b273ff34"),
+        (3, 2, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (3, 3, DISTINCT, 2, 2, 5, "afa444052e13"),
+        (3, 3, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (3, 4, DISTINCT, 3, 3, 13, "280e46e3503b"),
+        (3, 4, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (3, 5, DISTINCT, 4, 4, 20, "eb4fceb75c80"),
+        (3, 5, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (4, 2, DISTINCT, 1, 1, 1, "6b86b273ff34"),
+        (4, 2, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (4, 3, DISTINCT, 2, 2, 8, "b4d2bb0c99dd"),
+        (4, 3, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (4, 4, DISTINCT, 3, 3, 36, "2c16ee1fd77c"),
+        (4, 4, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (4, 5, DISTINCT, 4, 4, 116, "e2c1e9bf02c6"),
+        (4, 5, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (5, 2, DISTINCT, 1, 1, 1, "6b86b273ff34"),
+        (5, 2, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (5, 3, DISTINCT, 2, 2, 11, "d5a57d22579f"),
+        (5, 3, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (5, 4, DISTINCT, 3, 3, 82, "600b494acc0c"),
+        (5, 4, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (5, 5, DISTINCT, 4, 4, 489, "31468a4af4b9"),
+        (5, 5, REPETITION, 1, 1, 1, "6b86b273ff34"),
+        (6, 3, DISTINCT, 2, 2, 15, "0303e0a39ec6"),
+        (6, 4, DISTINCT, 3, 3, 168, "eca2fb098810"),
+        (7, 3, DISTINCT, 2, 2, 19, "89078c930799"),
     ],
 )
-def test_search_min_pinned_results(n, k, mode, f, nodes, lower_bound, classes, digest):
-    """f, node count, bounds and a digest of the sorted witness bitmaps: a
-    change to either search stage or to canonicalisation shows up here."""
+def test_search_min_pinned_results(n, k, mode, f, lower_bound, classes, digest):
+    """f, bounds and a digest of the sorted witness bitmaps: a change to the
+    below-k scan or to canonicalisation shows up here.  The node count is
+    every combination of at most f members."""
     report = search_min(SearchConfig(n=n, k=k, mode=mode, budget=600))
     assert report.optimal
-    assert (report.f_value, report.nodes_explored, report.lower_bound) == (f, nodes, lower_bound)
+    assert (report.f_value, report.lower_bound) == (f, lower_bound)
+    assert report.nodes_explored == sum(comb(2**n, s) for s in range(1, f + 1))
     assert (len(report.witnesses), _witness_digest(report)) == (classes, digest)
 
 
@@ -333,6 +332,16 @@ def test_search_budget_interruption():
     assert report.f_value == 2
     assert report.lower_bound == 2
     assert report.elapsed < 5
+
+
+@pytest.mark.parametrize("n,k", [(7, 200), (6, 80)])
+def test_search_with_k_above_the_ground_count_finishes(n, k):
+    # k - 1 exceeds 2^n, so the floor is the family of every set: one
+    # combination to check, not a walk over up-sets until the budget ends
+    report = search_min(SearchConfig(n=n, k=k, budget=5))
+    assert (report.f_value, report.lower_bound) == (1 << n, 1 << n)
+    assert report.optimal
+    assert report.elapsed < 1
 
 
 def test_search_budget_covers_the_witness_strike_off():
@@ -362,90 +371,6 @@ def test_search_config_validation():
     # k-member collections
     assert oracle_min(3, 10**9) == 8
     assert oracle_min(3, 10**9, REPETITION) == 1
-
-
-def test_branch_and_bound_finds_upclosed_minima():
-    """Driven directly with no incumbent, the engine reports the smallest
-    maximal family with at least k members, one labeled leaf or more per
-    isomorphism class; those are upward closed, so the exhaustive up-set
-    enumeration is the reference for both the size and the classes."""
-    for n, k, want in [(3, 3, 4), (4, 3, 5), (4, 4, 8)]:
-        ref = [fam for fam in enumerate_maximal_families(n, k, DISTINCT) if len(fam) >= k]
-        assert min(len(fam) for fam in ref) == want
-        eng = _engine(n, k, DISTINCT)
-        assert eng.run()
-        assert eng.best == want
-        for bm in eng.found:
-            fam = SetFamily(n, bm)
-            assert len(fam) == want
-            assert up_close_bits(bm, n) == bm
-            assert _naive_is_maximal(n, list(fam), k, DISTINCT)
-        assert {canonical_form(SetFamily(n, bm)).bitmap for bm in eng.found} == {
-            canonical_form(fam).bitmap for fam in ref if len(fam) == want
-        }
-
-
-def _engine(n, k, mode):
-    return _BranchAndBound(n, k, mode, time.monotonic() + 120)
-
-
-@pytest.mark.parametrize(
-    "n,k,mode,nodes,best,found",
-    [
-        (3, 3, DISTINCT, 41, 4, [240]),
-        (4, 3, DISTINCT, 208, 5, [59520]),
-        (4, 4, DISTINCT, 209, 8, [65280]),
-        (5, 3, DISTINCT, 2215, 9, [3936911360]),
-        (5, 4, DISTINCT, 1849, 6, [3900735488]),
-        (4, 3, REPETITION, 208, 5, [59520]),
-        (6, 3, DISTINCT, 104435, 13, [17908810211133489152]),
-    ],
-)
-def test_branch_and_bound_pinned_counts(n, k, mode, nodes, best, found):
-    """Node counts and labeled leaves with no incumbent and symmetry on: a
-    change to pruning or to the symmetry check shows up here first."""
-    eng = _engine(n, k, mode)
-    assert eng.run()
-    assert (eng.nodes, eng.best, sorted(eng.found)) == (nodes, best, found)
-
-
-@pytest.mark.parametrize("mode", [DISTINCT, REPETITION])
-def test_branch_and_bound_below_k_incumbent_records_nothing(mode):
-    """The engine records only families of at least k members, so an
-    incumbent below k, such as search_min's below-k floor, is never beaten
-    or tied: the run adds nodes and nothing else."""
-    for n in range(1, 6):
-        for k in range(2, 6):
-            for b in range(1, k):
-                eng = _BranchAndBound(n, k, mode, time.monotonic() + 120, best=b)
-                assert eng.run()
-                assert (eng.found, eng.best) == ([], b)
-
-
-def brute_region_minimal(bm, j):
-    """No relabeling of the first j coordinates is smaller stage by stage,
-    comparing the masks below 4, then below 8, ..., then below 2^j."""
-    fam = SetFamily(j, bm)
-    stages = [(1 << (1 << i)) - 1 for i in range(1, j + 1)]
-    base = [bm & s for s in stages]
-    return all(
-        [relabel(fam, perm).bitmap & s for s in stages] >= base
-        for perm in itertools.permutations(range(j))
-    )
-
-
-def test_region_minimal_matches_brute_force():
-    rng = random.Random(7)
-    cases = [(j, bm) for j in (2, 3, 4) for bm in enumerate_upsets(j)]
-    for _ in range(60):
-        masks = rng.sample(range(1, 32), rng.randint(1, 5))
-        cases.append((5, up_close_bits(sum(1 << m for m in masks), 5)))
-    verdicts = set()
-    for j, bm in cases:
-        want = brute_region_minimal(bm, j)
-        assert _engine(j, 3, DISTINCT)._region_minimal(bm, j) == want, (j, bm)
-        verdicts.add((j, want))
-    assert verdicts == {(j, v) for j in (2, 3, 4, 5) for v in (True, False)}
 
 
 # -------------------------------------------------- cube-split audit
