@@ -3,14 +3,17 @@
 Each subcommand maps to one library operation and appends a single
 record to the ledger (default stdout):
 
-    {"schema_version": 2, "command": ..., "params": {...}, "seed": ...,
+    {"schema_version": 3, "command": ..., "params": {...}, "seed": ...,
      "result": {...}, "timestamp": "..."}
 
-Identical (command, params, seed) runs produce identical result payloads
-once timing fields are set aside; --no-timestamp drops those fields so
-reruns are byte-identical.  Families whose bitmaps exceed the inline
-limit are written to sidecar files and referenced by path plus content
-hash.  Exit codes: 0 success, 1 domain error, 2 usage error.
+params holds the command's parsed arguments, less the ledger-wide flags
+and the optionals left unset; a block is recorded as its element list
+and stats records its default pivot.  Identical (command, params, seed)
+runs produce identical result payloads once timing fields are set aside;
+--no-timestamp drops those fields so reruns are byte-identical.
+Families whose bitmaps exceed the inline limit are written to sidecar
+files and referenced by path plus content hash.  Exit codes: 0 success,
+1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .disjointness import build_bipartite, build_graph, count_edges_touching, st
 from .generator import coverage
 from .search import SearchConfig, audit_claim_counts, search_min
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 INLINE_FAMILY_BITS = 1 << 20
 MAX_INLINE_EDGES = 4096
 VOLATILE_RESULT_KEYS = ("seconds",)
@@ -88,68 +91,59 @@ def _family_payload(family: SetFamily, sidecar_dir: Path) -> Any:
     return {"path": str(path), "sha256": digest}
 
 
-def _cmd_check(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    mode = KwiseMode(args.mode)
+def _cmd_check(args, params: Dict[str, Any]) -> Dict[str, Any]:
     fam = _parse_family(args.n, args.family)
-    state = ReachState.of(fam, args.k, mode)
+    state = ReachState.of(fam, args.k, KwiseMode(args.mode))
     kwise = state.intersecting()
     addable = state.addable() if kwise else 0
     maximal = kwise and not addable
     witness = (addable & -addable).bit_length() - 1 if addable else None
-    params = {"n": args.n, "k": args.k, "mode": mode.value, "family": args.family}
-    result = {
+    return {
         "size": len(fam),
         "kwise": kwise,
         "maximal": maximal,
         "addable_witness": witness,
     }
-    return params, result
 
 
-def _cmd_closure(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    mode = KwiseMode(args.mode)
+def _cmd_closure(args, params: Dict[str, Any]) -> Dict[str, Any]:
     fam = _parse_family(args.n, args.family)
-    closed = maximal_closure(fam, args.k, mode)
-    params = {"n": args.n, "k": args.k, "mode": mode.value, "family": args.family}
-    result = {
+    closed = maximal_closure(fam, args.k, KwiseMode(args.mode))
+    return {
         "input_size": len(fam),
         "size": len(closed),
         "added": len(closed) - len(fam),
         "family": _family_payload(closed, args.sidecar_dir),
     }
-    return params, result
 
 
-def _cmd_construct(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+def _cmd_construct(args, params: Dict[str, Any]) -> Dict[str, Any]:
     name = args.construction
-    params: Dict[str, Any] = {"construction": name, "n": args.n}
+    # each construction records the one of --s and --parts that it reads
     if name == "series-of-cubes":
-        partition = Partition.contiguous(args.n, args.parts)
-        fam = series_of_cubes(partition)
-        params["parts"] = args.parts
+        fam = series_of_cubes(Partition.contiguous(args.n, args.parts))
+        params.pop("s", None)
     else:
         s = _parse_elements(args.n, args.s) if args.s else balanced_block(args.n)
         fam = linked_cubes(args.n, s) if name == "linked-cubes" else pair_of_cubes(args.n, s)
         params["s"] = mask_elements(s)
-    result = {"size": len(fam), "family": _family_payload(fam, args.sidecar_dir)}
-    return params, result
+        del params["parts"]
+    return {"size": len(fam), "family": _family_payload(fam, args.sidecar_dir)}
 
 
-def _cmd_gen_coverage(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+def _cmd_gen_coverage(args, params: Dict[str, Any]) -> Dict[str, Any]:
     fam = _parse_family(args.n, args.family)
     cov = coverage(fam, args.k)
     uncovered = family_full_bitmap(args.n) & ~cov.covered.bitmap
     sample = list(itertools.islice(iter_bits(uncovered), 8))
-    params = {"n": args.n, "k": args.k, "family": args.family}
-    result = {
+    return {
         "count": cov.count,
         "fraction": cov.fraction,
         "uncovered_sample": sample,
     }
-    return params, result
 
 
-def _cmd_disjointness(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+def _cmd_disjointness(args, params: Dict[str, Any]) -> Dict[str, Any]:
     fams = [_parse_family(args.n, f) for f in args.family]
     if len(fams) == 1:
         graph = build_graph(fams[0])
@@ -157,7 +151,6 @@ def _cmd_disjointness(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         graph = build_bipartite(fams[0], fams[1])
     else:
         raise ValueError("disjointness expects one or two --family values")
-    params = {"n": args.n, "family": list(args.family)}
     edge_count = graph.edge_count()
     result: Dict[str, Any] = {
         "bipartite": graph.bipartite,
@@ -170,33 +163,24 @@ def _cmd_disjointness(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     else:
         result["edges_truncated"] = True
     if args.elem is not None:
-        params["elem"] = args.elem
         result["edges_touching"] = count_edges_touching(graph, args.elem)
-    return params, result
+    return result
 
 
-def _cmd_stats(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+def _cmd_stats(args, params: Dict[str, Any]) -> Dict[str, Any]:
     if len(args.family) != 2:
         raise ValueError("stats expects exactly two --family values")
     x = _parse_family(args.n, args.family[0])
     y = _parse_family(args.n, args.family[1])
-    elem = args.elem if args.elem is not None else args.n
-    stats = stability_stats(x, y, args.ell, elem)
-    params = {
-        "n": args.n,
-        "family": list(args.family),
-        "ell": args.ell,
-        "elem": elem,
-    }
-    return params, _fields(stats, params)
+    params["elem"] = args.elem if args.elem is not None else args.n
+    stats = stability_stats(x, y, args.ell, params["elem"])
+    return _fields(stats, params)
 
 
-def _cmd_search_min(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    mode = KwiseMode(args.mode)
-    config = SearchConfig(n=args.n, k=args.k, mode=mode, budget=args.budget)
+def _cmd_search_min(args, params: Dict[str, Any]) -> Dict[str, Any]:
+    config = SearchConfig(n=args.n, k=args.k, mode=KwiseMode(args.mode), budget=args.budget)
     report = search_min(config)
-    params = {"n": args.n, "k": args.k, "mode": mode.value, "budget": args.budget}
-    result = {
+    return {
         "f": report.f_value,
         "witnesses": [w.to_hex() for w in report.witnesses],
         "matched_linked_cubes": list(report.matched_linked_cubes),
@@ -205,15 +189,14 @@ def _cmd_search_min(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         "optimal": report.optimal,
         "lower_bound": report.lower_bound,
     }
-    return params, result
 
 
-def _cmd_audit(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+def _cmd_audit(args, params: Dict[str, Any]) -> Dict[str, Any]:
     fam = _parse_family(args.n, args.family)
     s = _parse_elements(args.n, args.s)
     report = audit_claim_counts(fam, s, args.eps)
-    params = {"n": args.n, "family": args.family, "s": mask_elements(s), "eps": args.eps}
-    return params, _fields(report, params)
+    params["s"] = mask_elements(s)
+    return _fields(report, params)
 
 
 def _stable_payload(result: Dict[str, Any]) -> str:
@@ -228,7 +211,7 @@ def _write_table(path: Path, header, rows: Dict[Any, list], order) -> None:
         writer.writerows(rows[key] for key in sorted(rows, key=order))
 
 
-def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+def _cmd_report(args, params: Dict[str, Any]) -> Dict[str, Any]:
     path = Path(args.ledger)
     text = path.read_text(encoding="utf-8")
     records = []
@@ -312,15 +295,13 @@ def _cmd_report(args) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     m_header = ["n", "k", "mode", "size", "maximal"]
     _write_table(m_path, m_header, max_rows, lambda t: (t[0], str(t[1]), str(t[2])))
 
-    params = {"ledger": str(path)}
-    result = {
+    return {
         "f_table": str(f_path),
         "maximality_table": str(m_path),
         "f_rows": len(f_rows),
         "maximality_rows": len(max_rows),
         "skipped_lines": malformed,
     }
-    return params, result
 
 
 _HANDLERS = {
@@ -336,10 +317,10 @@ _HANDLERS = {
 }
 
 
-def _emit_record(args, command: str, params: Dict[str, Any], result: Dict[str, Any]) -> None:
+def _emit_record(args, params: Dict[str, Any], result: Dict[str, Any]) -> None:
     record: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "params": params,
         "seed": args.seed,
         "result": result,
@@ -434,10 +415,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # the run's own arguments; the ledger-wide flags describe the line
+    params = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "out", "seed", "no_timestamp") and value is not None
+    }
     args.sidecar_dir = Path(args.out).resolve().parent if args.out else Path.cwd()
     try:
-        params, result = _HANDLERS[args.command](args)
-        _emit_record(args, args.command, params, result)
+        result = _HANDLERS[args.command](args, params)
+        _emit_record(args, params, result)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

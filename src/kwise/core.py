@@ -11,6 +11,7 @@ from __future__ import annotations
 import binascii
 import enum
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Tuple
@@ -115,10 +116,6 @@ class SetFamily:
             body = f"{self.size} members"
         return f"SetFamily(n={self.n}, {{{body}}})"
 
-    def with_masks(self, masks: Iterable[int]) -> "SetFamily":
-        extra = SetFamily.from_masks(self.n, masks)
-        return SetFamily(self.n, self.bitmap | extra.bitmap)
-
 
 def hex_digits(n: int) -> int:
     """Serialized width: the 2^n-bit bitmap zero-padded to whole hex digits."""
@@ -136,7 +133,18 @@ def _check_k(k: int) -> None:
 
 
 def _exact_eps(eps) -> Fraction:
-    """eps as a Fraction; ValueError for a zero denominator or an infinity."""
+    """eps as a Fraction; ValueError for a zero denominator, an infinity,
+    or a string whose decimal exponent has more than three digits.
+
+    Fraction builds 10^|e| for an exponent e, which takes seconds once |e|
+    has eight digits and grows with it.  The bound |e| < 1000 keeps the
+    parse instant and lies far beyond the slacks an audit can tell apart:
+    its counts stay below 2^26, so no verdict changes for eps within
+    (0, 10^-12) or above 10^8.
+    """
+    exponent = isinstance(eps, str) and re.search(r"[eE][-+]?([\d_]+)\s*\Z", eps)
+    if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 3:
+        raise ValueError(f"eps exponent must be below 1000 in magnitude: {eps!r}")
     try:
         return Fraction(eps)
     except (ZeroDivisionError, OverflowError):
@@ -289,7 +297,8 @@ class ReachState:
     members.
 
     States are immutable: fold returns a new state and shares unchanged
-    layers with the old one, so branching on a state costs nothing.
+    layers with the old one, which stays valid for comparison, as
+    maximal_closure compares the relevant layers before and after a fold.
     """
 
     __slots__ = ("n", "k", "mode", "size", "layers", "common", "members")

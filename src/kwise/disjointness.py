@@ -118,17 +118,19 @@ def stability_stats(
 ) -> StabilityStats:
     """Exact stability ratios for a pair of families.
 
-    alpha and beta scale the family sizes by 2^ell.  The per-coordinate
-    ratios divide the size of the keep-and-strip restriction by the family
-    size.  theta and phi measure how much of each family lies inside the
+    alpha and beta scale the family sizes by 2^ell, for ell from 0 to n
+    (ValueError otherwise): a family holds at most 2^n sets, so a larger
+    ell only pushes both below 2^(n - ell), at the cost of a 2^ell-bit
+    scale.  The per-coordinate ratios divide the size of the
+    keep-and-strip restriction by the family size.  theta and phi measure how much of each family lies inside the
     down cube of its reference block, the coordinates whose ratio is at
     least STABILITY_THRESHOLD (1/3).
     """
     _check_same_ground(x_family, y_family)
     n = x_family.n
     check_element(elem, n)
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
+    if not 0 <= ell <= n:
+        raise ValueError(f"ell must lie in 0..{n}, got {ell}")
     if len(x_family) == 0 or len(y_family) == 0:
         raise ValueError("stability statistics need nonempty families")
     scale = 1 << ell

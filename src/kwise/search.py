@@ -193,17 +193,15 @@ def search_min(config: SearchConfig) -> SearchReport:
     Decides the families below the distinctness threshold by their common
     intersection; the floor always holds a maximal one, so the minimum is
     the floor and the witnesses are the canonical forms of the floor's
-    maximal families.  nodes_explored counts every combination of at most
-    floor members, so a complete run reports the sum of C(2^n, s) for s
-    from 1 to the floor.  A run cut short by the budget is flagged
-    non-optimal and its witness list may miss classes.
+    maximal families.  nodes_explored counts the combinations the scan
+    visited, C(2^n, floor) in a complete run.  A run cut short by the
+    budget is flagged non-optimal and its witness list may miss classes.
     """
     start = time.monotonic()
     deadline = start + config.budget
     n, k, mode = config.n, config.k, config.mode
     floor = _first_below_k_size(n, k, mode)
-    # every combination of fewer members counts as a node, as if scanned
-    nodes = sum(math.comb(1 << n, size) for size in range(1, floor))
+    nodes = 0
     # one canonical form per class, each struck off when the scan first meets it
     forms: List[int] = []
     seen: Set[int] = set()

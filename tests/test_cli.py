@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ def test_construct_linked_cubes_record(capsys):
     rec = run_record(
         capsys, "construct", "linked-cubes", "--n", "9", "--no-timestamp"
     )
-    assert rec["schema_version"] == 2
+    assert rec["schema_version"] == 3
     assert rec["command"] == "construct"
     assert rec["seed"] == 0
     assert rec["params"] == {
@@ -125,7 +126,7 @@ def test_check_linked_cubes_sweep_n15_to_22(tmp_path, capsys):
                 w = res["addable_witness"]
                 assert res["maximal"] is False
                 assert w not in punctured and w <= removed
-                assert is_k_wise_intersecting(punctured.with_masks([w]), 3, mode)
+                assert is_k_wise_intersecting(SetFamily(n, punctured.bitmap | 1 << w), 3, mode)
 
 
 def test_closure_record(capsys):
@@ -305,6 +306,23 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 1 and "0-9a-f" in err and out == ""
 
 
+def test_huge_eps_exponent_or_ell_exits_at_once(capsys):
+    # Fraction would build 10^999999999 for this eps, and stats a
+    # 2^4000000000 scale for this ell: both are refused before any work
+    fam = linked_cubes(5, balanced_block(5)).to_hex()
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "audit", "--n", "5", "--family", fam, "--s", "1,2", "--eps", "1e999999999"
+    )
+    assert code == 1 and "error:" in err and "eps" in err and out == ""
+    code, out, err = run(
+        capsys, "stats", "--n", "3", "--family", "0f", "--family", "11",
+        "--ell", "4000000000",
+    )
+    assert code == 1 and "error:" in err and "ell" in err and out == ""
+    assert time.monotonic() - start < 0.5
+
+
 @pytest.mark.parametrize("construction", ["linked-cubes", "pair-of-cubes", "series-of-cubes"])
 def test_construct_rejects_oversized_ground(capsys, construction):
     code, out, err = run(capsys, "construct", construction, "--n", "40", "--parts", "1")
@@ -388,7 +406,7 @@ def test_report_empty_ledger(tmp_path, capsys):
 def test_report_integrity_violation(tmp_path, capsys):
     ledger = tmp_path / "bad.jsonl"
     base = {
-        "schema_version": 2,
+        "schema_version": 3,
         "command": "search-min",
         "params": {"n": 3, "k": 3, "mode": "distinct", "budget": 60.0},
         "seed": 0,
@@ -504,7 +522,7 @@ def test_report_survives_json_values_where_scalars_belong(
 def test_report_ignores_volatile_divergence(tmp_path, capsys):
     ledger = tmp_path / "ok.jsonl"
     base = {
-        "schema_version": 2,
+        "schema_version": 3,
         "command": "search-min",
         "params": {"n": 3, "k": 3, "mode": "distinct", "budget": 60.0},
         "seed": 0,
@@ -562,3 +580,24 @@ def test_ledger_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     assert len(sidecars) == 1
     digest = hashlib.sha256(sidecars[0].read_text().strip().encode()).hexdigest()
     assert sidecars[0].name == f"family_{digest[:16]}.hex"
+
+
+def test_params_are_the_parsed_arguments(tmp_path, monkeypatch):
+    # a record's params is its command line as parsed, less the flags that
+    # describe the ledger line and the optionals left unset; only a block
+    # (construct, audit), construct's unread --s or --parts and the default
+    # stats pivot are rewritten
+    monkeypatch.chdir(tmp_path)
+    for argv in PINNED_SCRIPT:
+        assert main([*argv, "--no-timestamp", "--out", "runs.jsonl"]) == 0
+    records = [json.loads(line) for line in Path("runs.jsonl").read_text().splitlines()]
+    assert [rec["command"] for rec in records] == [argv[0] for argv in PINNED_SCRIPT]
+    rewritten = {"construct": {"s", "parts"}, "stats": {"elem"}, "audit": {"s"}}
+    for argv, rec in zip(PINNED_SCRIPT, records):
+        parsed = vars(cli._build_parser().parse_args(argv))
+        skip = {"command", "out", "seed", "no_timestamp", *rewritten.get(argv[0], ())}
+        expected = {k: v for k, v in parsed.items() if k not in skip and v is not None}
+        assert {k: v for k, v in rec["params"].items() if k not in skip} == expected
+        if argv[0] == "construct":
+            series = argv[1] == "series-of-cubes"
+            assert ("parts" in rec["params"]) == series != ("s" in rec["params"])

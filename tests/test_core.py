@@ -227,7 +227,7 @@ def test_monotone_extension_needs_k_members():
     e.g. {{1},{2}} is vacuously 3-wise but {{1},{2},{1,3}} is not."""
     small = SetFamily.from_masks(3, [0b001, 0b010])
     assert is_k_wise_intersecting(small, 3, DISTINCT)
-    grown = small.with_masks([0b101])
+    grown = SetFamily(3, small.bitmap | 1 << 0b101)
     assert not is_k_wise_intersecting(grown, 3, DISTINCT)
 
 
@@ -239,7 +239,7 @@ def test_monotone_extension_property(fam, k, data):
     members = fam.member_list()
     base = data.draw(st.sampled_from(members))
     extra = data.draw(st.integers(min_value=0, max_value=(1 << fam.n) - 1))
-    grown = fam.with_masks([base | extra])
+    grown = SetFamily(fam.n, fam.bitmap | 1 << (base | extra))
     assert is_k_wise_intersecting(grown, k, DISTINCT)
 
 

@@ -105,6 +105,8 @@ def test_stability_stats_validation():
     x = SetFamily(3, cube_bits(0b011))
     with pytest.raises(ValueError):
         stability_stats(x, x, ell=-1, elem=1)
+    with pytest.raises(ValueError, match="ell"):
+        stability_stats(x, x, ell=4, elem=1)
     with pytest.raises(ValueError):
         stability_stats(x, x, ell=1, elem=4)
     with pytest.raises(ValueError):

@@ -318,12 +318,12 @@ def _witness_digest(report):
 def test_search_min_pinned_results(n, k, mode, f, two_stage_nodes, lower_bound, classes, digest):
     """f, bounds and a digest of the sorted witness bitmaps: a change to the
     below-k scan or to canonicalisation shows up here.  The node count is
-    every combination of at most f members, which never exceeds the pinned
-    count of the scan plus the branch and bound that once followed it."""
+    every combination of f members, which never exceeds the pinned count
+    of the scan plus the branch and bound that once followed it."""
     report = search_min(SearchConfig(n=n, k=k, mode=mode, budget=600))
     assert report.optimal
     assert (report.f_value, report.lower_bound) == (f, lower_bound)
-    assert report.nodes_explored == sum(comb(2**n, s) for s in range(1, f + 1))
+    assert report.nodes_explored == comb(2**n, f)
     assert report.nodes_explored <= two_stage_nodes
     assert (len(report.witnesses), _witness_digest(report)) == (classes, digest)
 
@@ -342,7 +342,7 @@ def test_search_with_k_above_the_ground_count_finishes(n, k):
     # combination to check, not a walk over up-sets until the budget ends
     report = search_min(SearchConfig(n=n, k=k, budget=5))
     assert (report.f_value, report.lower_bound) == (1 << n, 1 << n)
-    assert report.optimal
+    assert report.optimal and report.nodes_explored == 1
     assert report.elapsed < 1
 
 
@@ -469,8 +469,9 @@ def test_audit_validation():
         audit_claim_counts(fam, full_mask(5), Fraction(1, 8))
     with pytest.raises(ValueError):
         audit_claim_counts(fam, 0b00011, Fraction(-1, 8))
-    for eps in (float("inf"), float("-inf"), "1/0"):
+    for eps in (float("inf"), float("-inf"), "1/0", "1e1000", "1E-0_999999999"):
         with pytest.raises(ValueError, match="eps"):
             audit_claim_counts(fam, 0b00011, eps)
+    assert audit_claim_counts(fam, 0b00011, "1e-999").eps == Fraction(1, 10**999)
     with pytest.raises(ValueError):
         audit_claim_counts(SetFamily.from_masks(5, [0]), 0b00011, Fraction(1, 8))
