@@ -13,6 +13,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Tuple
 
@@ -134,7 +135,7 @@ def _check_k(k: int) -> None:
 
 def _exact_eps(eps) -> Fraction:
     """eps as a Fraction; ValueError for a zero denominator, an infinity,
-    or a string whose decimal exponent has more than three digits.
+    or a string or Decimal whose decimal exponent has more than three digits.
 
     Fraction builds 10^|e| for an exponent e, which takes seconds once |e|
     has eight digits and grows with it.  The bound |e| < 1000 keeps the
@@ -142,7 +143,8 @@ def _exact_eps(eps) -> Fraction:
     its counts stay below 2^26, so no verdict changes for eps within
     (0, 10^-12) or above 10^8.
     """
-    exponent = isinstance(eps, str) and re.search(r"[eE][-+]?([\d_]+)\s*\Z", eps)
+    text = str(eps) if isinstance(eps, (str, Decimal)) else ""
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", text)
     if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 3:
         raise ValueError(f"eps exponent must be below 1000 in magnitude: {eps!r}")
     try:
