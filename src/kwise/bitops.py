@@ -8,6 +8,7 @@ a member).  Everything here is a pure function on ints.
 
 import re
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, List
 
 MAX_FAMILY_GROUND = 26
@@ -117,32 +118,79 @@ def _maximal_members(bm: int, n: int) -> int:
 
 
 def _relabelings(bitmap: int, n: int) -> Iterator[int]:
-    """The n! relabelings of a family bitmap under permutations of its coordinates.
+    """Every relabeling of a family bitmap under permutations of its
+    coordinates, each at least once.
 
-    In Heap's order ("Permutations by interchanges", 1963) each one is the
-    one before with two coordinates a < b exchanged.  That is one delta
-    swap of the whole bitmap: the indices with bit a set and bit b clear
-    trade places with those 2^b - 2^a above.  The n(n-1)/2 swap masks are
-    built once per scan and each swap is applied inline.
+    Exchanging coordinates a < b is one delta swap of the whole bitmap:
+    the indices with bit a set and bit b clear trade places with those
+    2^b - 2^a above.  Coordinates are twins when their swap moves nothing;
+    twins are interchangeable, so a relabeling depends only on which twin
+    class sits at each position.  With at most one twin pair this is
+    Heap's walk over all n! permutations.  Otherwise positions are filled
+    from the top, one branch per twin class among the free positions,
+    until the free positions hold at most one twin pair, and Heap's walk
+    finishes each branch.  That yields at most 2 n! / (t_1! t_2! ...)
+    bitmaps for twin classes of sizes t_1, t_2, ...
     """
-    yield bitmap
-    if n < 2:
-        return
     clear = [_clear_bit_pattern(n, i) for i in range(n)]
     # swaps[b][a]: shift and selection mask of the exchange of a < b
     swaps = [[((1 << b) - (1 << a), clear[b] & ~clear[a]) for a in range(b)] for b in range(n)]
+    # classes[b]: the least coordinate twinned with b
+    classes = list(range(n))
+    reps = []
+    for b in range(n):
+        for a in reps:
+            shift, pat = swaps[b][a]
+            if not (bitmap ^ (bitmap >> shift)) & pat:
+                classes[b] = a
+                break
+        else:
+            reps.append(b)
+    # one block per arrangement of twin classes on the fixed top positions;
+    # Heap's walk covers the free positions below, at most one twin pair
+    blocks = []
+    stack = [(bitmap, classes)]
+    while stack:
+        bm, free = stack.pop()
+        kinds = set(free)
+        if len(free) - len(kinds) <= 1:
+            blocks.append((bm, len(free)))
+            continue
+        p = len(free) - 1
+        for c in kinds:
+            j = p if free[p] == c else free.index(c)
+            rest = free[:p]
+            if j < p:
+                rest[j] = free[p]
+                shift, pat = swaps[p][j]
+                moved = (bm ^ (bm >> shift)) & pat
+                stack.append((bm ^ moved ^ (moved << shift), rest))
+            else:
+                stack.append((bm, rest))
+    if len(blocks) == 1:
+        return _heap_walk(*blocks[0], swaps)
+    return chain.from_iterable(_heap_walk(bm, m, swaps) for bm, m in blocks)
+
+
+def _heap_walk(bitmap: int, m: int, swaps: List) -> Iterator[int]:
+    """The m! relabelings of a bitmap under permutations of its lowest m
+    coordinates, in Heap's order ("Permutations by interchanges", 1963):
+    each one is the one before with two coordinates exchanged."""
+    yield bitmap
+    if m < 2:
+        return
     first = swaps[1][0][1]
-    c = [0] * n
+    c = [0] * m
     while True:
         # every other step of Heap's order exchanges coordinates 0 and 1
         moved = (bitmap ^ (bitmap >> 1)) & first
         bitmap ^= moved ^ (moved << 1)
         yield bitmap
         i = 2
-        while i < n and c[i] == i:
+        while i < m and c[i] == i:
             c[i] = 0
             i += 1
-        if i == n:
+        if i == m:
             return
         shift, pat = swaps[i][c[i] if i & 1 else 0]
         moved = (bitmap ^ (bitmap >> shift)) & pat

@@ -18,6 +18,8 @@ from .core import SetFamily, restrict_plus, _check_same_ground
 
 # coordinates whose ratio reaches this form the reference blocks
 STABILITY_THRESHOLD = Fraction(1, 3)
+# the adjacency rows test every member pair in Python: 2^24 pairs take about a second
+MAX_GRAPH_PAIRS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -52,19 +54,32 @@ class DisjointnessGraph:
 
 
 def build_graph(family: SetFamily) -> DisjointnessGraph:
-    """Disjointness graph of one family: edges are disjoint distinct pairs."""
+    """Disjointness graph of one family: edges are disjoint distinct pairs.
+
+    Refused (ValueError) past MAX_GRAPH_PAIRS ordered member pairs.
+    """
+    _check_pairs(len(family), len(family))
     members = tuple(family.members())
     adjacency = _cross_adjacency(members, members, family.n, skip_diagonal=True)
     return DisjointnessGraph(family.n, members, members, adjacency, bipartite=False)
 
 
 def build_bipartite(a: SetFamily, b: SetFamily) -> DisjointnessGraph:
-    """Bipartite disjointness graph over an ordered pair of families."""
+    """Bipartite disjointness graph over an ordered pair of families,
+    refused (ValueError) past MAX_GRAPH_PAIRS member pairs."""
     _check_same_ground(a, b)
+    _check_pairs(len(a), len(b))
     left = tuple(a.members())
     right = tuple(b.members())
     adjacency = _cross_adjacency(left, right, a.n, skip_diagonal=False)
     return DisjointnessGraph(a.n, left, right, adjacency, bipartite=True)
+
+
+def _check_pairs(left: int, right: int) -> None:
+    if left * right > MAX_GRAPH_PAIRS:
+        raise ValueError(
+            f"disjointness graph capped at {MAX_GRAPH_PAIRS} member pairs, got {left * right}"
+        )
 
 
 def _cross_adjacency(
@@ -133,6 +148,7 @@ def stability_stats(
         raise ValueError(f"ell must lie in 0..{n}, got {ell}")
     if len(x_family) == 0 or len(y_family) == 0:
         raise ValueError("stability statistics need nonempty families")
+    graph = build_bipartite(x_family, y_family)
     scale = 1 << ell
     alpha = Fraction(len(x_family), scale)
     beta = Fraction(len(y_family), scale)
@@ -148,7 +164,6 @@ def stability_stats(
     y_ratios, threshold_y = ratios_and_threshold(y_family)
     theta = Fraction((x_family.bitmap & cube_bits(threshold_x)).bit_count(), len(x_family))
     phi = Fraction((y_family.bitmap & cube_bits(threshold_y)).bit_count(), len(y_family))
-    graph = build_bipartite(x_family, y_family)
     return StabilityStats(
         n=n,
         ell=ell,

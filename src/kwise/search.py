@@ -55,9 +55,11 @@ def canonical_form(family: SetFamily) -> SetFamily:
     """Least relabeling of the family over all coordinate permutations.
 
     Relabeled copies of a family share one canonical form, so equality of
-    canonical forms decides isomorphism.  The form is the least of the n!
-    bitmaps of the swap walk `bitops._relabelings`, so the scan is
-    factorial in n and capped accordingly.
+    canonical forms decides isomorphism.  The form is the least bitmap of
+    the swap walk `bitops._relabelings`, which meets every relabeling and
+    skips only arrangements of twin coordinates, whose exchange fixes the
+    family.  A family with at most one twin pair is walked over all n!
+    permutations, so the scan is factorial in n and capped accordingly.
     """
     n = family.n
     if n > MAX_CANONICAL_GROUND:
@@ -66,11 +68,14 @@ def canonical_form(family: SetFamily) -> SetFamily:
 
 
 def _least_relabeling(n: int, bitmap: int, seen: Set[int]) -> int:
-    """Least bitmap among the n! relabelings of a family bitmap, for the
+    """Least bitmap among the relabelings of a family bitmap, for the
     witness strike-off of search_min.
 
-    Every relabeling the walk meets is also added to seen, so a caller
-    meeting many labeled copies of a few classes scans each class once.
+    The walk meets every relabeling, so every one is added to seen and a
+    caller meeting many labeled copies of a few classes scans each class
+    once.  Below-k witnesses have few members and so many twin
+    coordinates, which the walk arranges once per twin class instead of
+    n! times.
     """
     copies = set(_relabelings(bitmap, n))
     seen |= copies

@@ -323,6 +323,17 @@ def test_huge_eps_exponent_or_ell_exits_at_once(capsys):
     assert time.monotonic() - start < 0.5
 
 
+def test_oversized_disjointness_graph_exits_at_once(capsys):
+    # the full family at n = 13 has 2^26 member pairs, past the 2^24 cap;
+    # at n = 12 (2^24 pairs) the graph takes about a second to build
+    full = "f" * (1 << 11)
+    start = time.monotonic()
+    for argv in (["disjointness"], ["stats", "--family", full, "--ell", "2"]):
+        code, out, err = run(capsys, *argv, "--n", "13", "--family", full)
+        assert code == 1 and "member pairs" in err and out == ""
+    assert time.monotonic() - start < 0.5
+
+
 @pytest.mark.parametrize("construction", ["linked-cubes", "pair-of-cubes", "series-of-cubes"])
 def test_construct_rejects_oversized_ground(capsys, construction):
     code, out, err = run(capsys, "construct", construction, "--n", "40", "--parts", "1")

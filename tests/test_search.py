@@ -5,7 +5,7 @@ import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -100,18 +100,116 @@ def test_canonical_form_is_least_relabeling(case):
     assert canonical_form(fam) == brute_canonical(fam)
 
 
+def family_of_columns(n, rows, columns):
+    """The family whose rows masks have coordinate i's bits given by the
+    rows-bit column columns[i]; equal columns are twin coordinates."""
+    return SetFamily.from_masks(
+        n, [sum((col >> r & 1) << i for i, col in enumerate(columns)) for r in range(rows)]
+    )
+
+
+@st.composite
+def twin_heavy_families(draw, n):
+    """1-4 masks whose n columns come from a palette of at most three."""
+    rows = draw(st.integers(1, 4))
+    palette = draw(st.lists(st.integers(0, (1 << rows) - 1), min_size=1, max_size=3))
+    columns = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    return family_of_columns(n, rows, columns)
+
+
+def twin_class_sizes(fam):
+    """Sizes of the classes of coordinates whose exchange fixes the family."""
+    reps, sizes = [], []
+    for i in range(fam.n):
+        for t, r in enumerate(reps):
+            perm = list(range(fam.n))
+            perm[i], perm[r] = r, i
+            if relabel(fam, tuple(perm)) == fam:
+                sizes[t] += 1
+                break
+        else:
+            reps.append(i)
+            sizes.append(1)
+    return sizes
+
+
+def heap_order(n):
+    """Coordinate permutations in Heap's order, as images of 0..n-1, from
+    the textbook iterative form acting on the coordinate at each position."""
+    at = list(range(n))  # the coordinate at each position
+
+    def images():
+        perm = [0] * n
+        for position, coordinate in enumerate(at):
+            perm[coordinate] = position
+        return tuple(perm)
+
+    c = [0] * n
+    perms = [images()]
+    i = 1
+    while i < n:
+        if c[i] < i:
+            j = c[i] if i % 2 else 0
+            at[j], at[i] = at[i], at[j]
+            perms.append(images())
+            c[i] += 1
+            i = 1
+        else:
+            c[i] = 0
+            i += 1
+    return perms
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_relabelings_are_the_permuted_copies(n):
-    """Swap by swap, the scan yields each relabeling once per coordinate
-    permutation, for random, empty and full families."""
+    """The walk yields exactly the permuted copies, for random, empty,
+    full and twin-heavy families."""
     rng = random.Random(n)
     full = (1 << (1 << n)) - 1
-    for bm in [0, full] + [rng.getrandbits(1 << n) for _ in range(6)]:
+    bitmaps = [0, full] + [rng.getrandbits(1 << n) for _ in range(6)]
+    for _ in range(6):
+        rows = rng.randint(1, 4)
+        palette = [rng.getrandbits(rows) for _ in range(rng.randint(1, 3))]
+        columns = [rng.choice(palette) for _ in range(n)]
+        bitmaps.append(family_of_columns(n, rows, columns).bitmap)
+    for bm in bitmaps:
         fam = SetFamily(n, bm)
-        want = sorted(
-            relabel(fam, perm).bitmap for perm in itertools.permutations(range(n))
-        )
-        assert sorted(_relabelings(bm, n)) == want
+        want = {relabel(fam, perm).bitmap for perm in itertools.permutations(range(n))}
+        assert set(_relabelings(bm, n)) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_twin_free_walk_is_heaps_order(n):
+    """A family without twins is walked over all n! permutations, in Heap's order."""
+    chain = SetFamily.from_masks(n, [(1 << i) - 1 for i in range(1, n)] or [1])
+    assert twin_class_sizes(chain) == [1] * n
+    assert list(_relabelings(chain.bitmap, n)) == [
+        relabel(chain, perm).bitmap for perm in heap_order(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["empty", "star", "linked-cubes"])
+def test_twin_walk_is_at_most_twice_the_arrangements(n, kind):
+    """With twins the walk yields at most 2 n! / (t_1! t_2! ...) bitmaps,
+    twice the arrangements of the twin classes, and still every relabeling."""
+    fam = {
+        "empty": lambda: SetFamily(n, 0),
+        "star": lambda: SetFamily(n, supercube_bits(1, n)),
+        "linked-cubes": lambda: linked_cubes(n, balanced_block(n)),
+    }[kind]()
+    sizes = twin_class_sizes(fam)
+    arrangements = factorial(n) // prod(factorial(t) for t in sizes)
+    walked = list(_relabelings(fam.bitmap, n))
+    assert len(walked) <= 2 * arrangements
+    perms = itertools.permutations(range(n))
+    assert set(walked) == {relabel(fam, perm).bitmap for perm in perms}
+
+
+@given(st.integers(1, 6).flatmap(twin_heavy_families))
+@settings(deadline=None, max_examples=60)
+def test_canonical_form_of_twin_heavy_families(fam):
+    assert canonical_form(fam) == brute_canonical(fam)
 
 
 @pytest.mark.parametrize(
@@ -147,6 +245,27 @@ def test_strike_off_gives_one_form_per_class(seed):
             found.append(relabel(fam, tuple(rng.sample(range(n), n))).bitmap)
     rng.shuffle(found)
     want = {brute_canonical(SetFamily(n, bm)).bitmap for bm in found}
+    forms = strike_off(n, found)
+    assert len(forms) == len(want)
+    assert set(forms) == want
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.lists(twin_heavy_families(n), min_size=1, max_size=3)),
+    st.randoms(use_true_random=False),
+)
+@settings(deadline=None, max_examples=40)
+def test_strike_off_of_twin_heavy_families(fams, rng):
+    """Shuffled relabelings of twin-heavy classes reduce to their
+    brute-force canonical forms, one per class."""
+    n = fams[0].n
+    found = [
+        relabel(fam, tuple(rng.sample(range(n), n))).bitmap
+        for fam in fams
+        for _ in range(rng.randint(1, 4))
+    ]
+    rng.shuffle(found)
+    want = {brute_canonical(fam).bitmap for fam in fams}
     forms = strike_off(n, found)
     assert len(forms) == len(want)
     assert set(forms) == want
