@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, Tuple
 
-from .bitops import MAX_FAMILY_GROUND, family_full_bitmap, iter_bits, mask_elements, mask_from_elements
+from .bitops import check_ground, family_full_bitmap, iter_bits, mask_elements, mask_from_elements
 from .constructions import (
     Partition,
     balanced_block,
@@ -45,7 +45,7 @@ from .constructions import (
 from .core import KwiseMode, ReachState, SetFamily, _check_k, maximal_closure
 from .disjointness import build_bipartite, build_graph, count_edges_touching, stability_stats
 from .generator import coverage
-from .search import SearchConfig, audit_claim_counts, search_min
+from .search import MAX_SEARCH_GROUND, SearchConfig, audit_claim_counts, search_min
 
 SCHEMA_VERSION = 3
 INLINE_FAMILY_BITS = 1 << 20
@@ -204,102 +204,84 @@ def _stable_payload(result: Dict[str, Any]) -> str:
     return json.dumps(trimmed, sort_keys=True)
 
 
-def _write_table(path: Path, header, rows: Dict[Any, list], order) -> None:
+def _ledger_record(line: str) -> Any:
+    """A ledger line as a record, or None when the line is malformed."""
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(rec, dict) and isinstance(rec.get("command"), str):
+        if all(isinstance(rec.get(key), dict) for key in ("params", "result")):
+            return rec
+    return None
+
+
+def _size_or_blank(size, *args: int) -> Any:
+    """A construction's size, or "" where the construction is undefined."""
+    try:
+        return size(*args)
+    except ValueError:
+        return ""
+
+
+def _write_table(path: Path, header, rows: Dict[Any, list]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows[key] for key in sorted(rows, key=order))
+        writer.writerows(rows[key] for key in sorted(rows))
 
 
 def _cmd_report(args, params: Dict[str, Any]) -> Dict[str, Any]:
     path = Path(args.ledger)
-    text = path.read_text(encoding="utf-8")
-    records = []
-    malformed = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict) or not isinstance(rec.get("command"), str):
-                raise ValueError("missing required keys")
-            if not all(isinstance(rec.get(key), dict) for key in ("params", "result")):
-                raise ValueError("params and result must be objects")
-            records.append(rec)
-        except (json.JSONDecodeError, ValueError):
-            malformed += 1
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    records = [rec for rec in map(_ledger_record, lines) if rec is not None]
+    malformed = len(lines) - len(records)
     if malformed:
         print(f"warning: skipped {malformed} malformed ledger line(s)", file=sys.stderr)
 
-    # a format version may change a result, so records agree only within one
-    seen: Dict[Tuple[str, str, str, str], str] = {}
+    seen: Dict[str, str] = {}
+    tables: Dict[str, Dict[Tuple[int, int, str], list]] = {"search-min": {}, "check": {}}
+    balanced_hex = functools.cache(lambda n: linked_cubes(n, balanced_block(n)).to_hex())
     for rec in records:
-        key = (
-            rec["command"],
-            json.dumps(rec["params"], sort_keys=True),
-            json.dumps(rec.get("seed"), sort_keys=True),
-            json.dumps(rec.get("schema_version")),
-        )
-        payload = _stable_payload(rec["result"])
-        if key in seen and seen[key] != payload:
-            raise ValueError(f"ledger integrity violation for {key[0]} with params {key[1]}")
-        seen.setdefault(key, payload)
-
-    f_rows, max_rows = {}, {}
-    balanced_hex: Dict[int, str] = {}
-    for rec in records:
-        if rec["command"] not in ("search-min", "check"):
-            continue
-        params, result = rec["params"], rec["result"]
-        n, k, mode = params.get("n"), params.get("k"), params.get("mode")
-        try:  # only a k and mode that the command itself could have written
+        command, params, result = rec["command"], rec["params"], rec["result"]
+        n, k, mode, family = (params.get(key) for key in ("n", "k", "mode", "family"))
+        # a format version may change a result, so records agree only within
+        # one; params do not fix what a report read from its ledger or an
+        # @path family from its file, so those records are not compared
+        families = family if isinstance(family, list) else [family]
+        if command != "report" and not any(str(f).startswith("@") for f in families):
+            identity = [command, params, rec.get("seed"), rec.get("schema_version")]
+            key, payload = json.dumps(identity, sort_keys=True), _stable_payload(result)
+            if seen.setdefault(key, payload) != payload:
+                raise ValueError(f"ledger integrity violation for {command}: {key}")
+        try:  # only an n, k and mode that the command itself could have written
+            check_ground(n)
             _check_k(k)
             KwiseMode(mode)
         except ValueError:
             continue
-        if rec["command"] == "search-min":
-            if result.get("f") is None:
+        if command == "search-min" and n <= MAX_SEARCH_GROUND and result.get("f") is not None:
+            sizes = [(linked_cubes_size, n // 2), (series_of_cubes_size, k - 1), (janzer_size, k)]
+            row = [result["f"], *(_size_or_blank(size, n, j) for size, j in sizes)]
+        elif command == "check" and n >= 2 and isinstance(family, str):
+            if family.strip().lower() != balanced_hex(n):
                 continue
-            try:  # and an n that search-min accepts with them
-                SearchConfig(n=n, k=k)
-            except ValueError:
-                continue
-            balanced = linked_cubes_size(n, n // 2) if n >= 2 else ""
-            try:
-                series = series_of_cubes_size(n, k - 1)
-            except ValueError:
-                series = ""
-            try:
-                janzer = janzer_size(n, k)
-            except ValueError:
-                janzer = ""
-            f_rows.setdefault((n, k, mode), [n, k, mode, result["f"], balanced, series, janzer])
+            row = [result.get("size"), result.get("maximal")]
+        else:
             continue
-        family = params.get("family")
-        if not isinstance(n, int) or not 2 <= n <= MAX_FAMILY_GROUND or not isinstance(family, str):
-            continue
-        if family.startswith("@"):
-            continue
-        if n not in balanced_hex:
-            balanced_hex[n] = linked_cubes(n, balanced_block(n)).to_hex()
-        if family.strip().lower() != balanced_hex[n]:
-            continue
-        max_rows.setdefault((n, k, mode), [n, k, mode, result.get("size"), result.get("maximal")])
+        tables[command].setdefault((n, k, mode), [n, k, mode, *row])
 
     base = path.with_suffix("")
     f_path = Path(f"{base}_f_table.csv")
     m_path = Path(f"{base}_linked_cubes_maximality.csv")
     f_header = ["n", "k", "mode", "f", "balanced_pair_size", "series_size", "janzer_size"]
-    _write_table(f_path, f_header, f_rows, lambda t: (t[0], t[1], str(t[2])))
-    m_header = ["n", "k", "mode", "size", "maximal"]
-    _write_table(m_path, m_header, max_rows, lambda t: (t[0], str(t[1]), str(t[2])))
-
+    _write_table(f_path, f_header, tables["search-min"])
+    _write_table(m_path, ["n", "k", "mode", "size", "maximal"], tables["check"])
     return {
         "f_table": str(f_path),
         "maximality_table": str(m_path),
-        "f_rows": len(f_rows),
-        "maximality_rows": len(max_rows),
+        "f_rows": len(tables["search-min"]),
+        "maximality_rows": len(tables["check"]),
         "skipped_lines": malformed,
     }
 

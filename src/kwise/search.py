@@ -31,7 +31,6 @@ from .bitops import (
     cube_bits,
     family_full_bitmap,
     full_mask,
-    iter_bits,
     mask_complement,
 )
 from .constructions import balanced_block, linked_cubes, linked_cubes_size, pair_of_cubes
@@ -286,33 +285,13 @@ def _naive_is_maximal(n: int, members: List[int], k: int, mode: KwiseMode) -> bo
     )
 
 
-def _oracle_small_scan(n: int, k: int, mode: KwiseMode) -> Optional[int]:
-    count = 1 << n
-    for size in range(1, min(k, count + 1)):
-        for combo in itertools.combinations(range(count), size):
-            if _naive_is_maximal(n, list(combo), k, mode):
-                return size
-    return None
-
-
-def _oracle_min_upsets(n: int, k: int, mode: KwiseMode) -> Optional[int]:
-    best: Optional[int] = None
-    for bm in enumerate_upsets(n):
-        size = bm.bit_count()
-        if size < k or (best is not None and size >= best):
-            continue
-        if _naive_is_maximal(n, list(iter_bits(bm)), k, mode):
-            best = size
-    return best
-
-
 def oracle_min(n: int, k: int, mode: KwiseMode = KwiseMode.DISTINCT) -> int:
     """Reference minimum computed from first principles; test use only.
 
-    Ground sizes up to 4 get a full filtration of all families in
-    ascending size.  At n = 5 the direct scan stops at the distinctness
-    threshold and the remaining candidates come from the up-set listing,
-    which is sufficient because larger maximal families are upward closed.
+    Scans all families in ascending size and returns the size of the first
+    maximal one, relying on no structure theorem.  At n = 5 the scan ends
+    by size k - 1: the empty set with k - 2 other masks is maximal, and with
+    repetition the empty set alone is.
     """
     check_ground(n)
     if n > MAX_ORACLE_GROUND:
@@ -320,19 +299,11 @@ def oracle_min(n: int, k: int, mode: KwiseMode = KwiseMode.DISTINCT) -> int:
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     count = 1 << n
-    if n <= 4:
-        for size in range(1, count + 1):
-            for combo in itertools.combinations(range(count), size):
-                if _naive_is_maximal(n, list(combo), k, mode):
-                    return size
-        raise RuntimeError("no maximal family found")
-    small = _oracle_small_scan(n, k, mode)
-    if small is not None:
-        return small
-    best = _oracle_min_upsets(n, k, mode)
-    if best is None:
-        raise RuntimeError("no maximal family found")
-    return best
+    for size in range(1, count + 1):
+        for combo in itertools.combinations(range(count), size):
+            if _naive_is_maximal(n, list(combo), k, mode):
+                return size
+    raise RuntimeError("no maximal family found")
 
 
 def partition_relative_to_cubes(

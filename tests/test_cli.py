@@ -545,6 +545,95 @@ def test_report_ignores_volatile_divergence(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"command": "search-min", "params": SEARCH_PARAMS, "result": {"f": None}},
+        {"command": "check", "params": {**LC3_PARAMS, "family": "@lc3.hex"}, "result": {"size": 3}},
+        {"command": "check", "params": {**LC3_PARAMS, "family": [LC3_PARAMS["family"]]},
+         "result": {"size": 3}},
+        {"command": "check", "params": {**LC3_PARAMS, "n": 1, "family": "1"},
+         "result": {"size": 1}},
+        {"command": "check", "params": {**LC3_PARAMS, "n": 27}, "result": {"size": 3}},
+    ],
+    ids=["search-f-null", "check-at-path", "check-family-list", "check-n-one", "check-n-27"],
+)
+def test_report_leaves_out_rows_it_cannot_vouch_for(tmp_path, capsys, monkeypatch, record):
+    """No f row without an f, and no maximality row unless the inline family
+    is the balanced linked cubes at a ground size check accepts; an @path
+    family is left out even when its file holds them."""
+    monkeypatch.chdir(tmp_path)
+    Path("lc3.hex").write_text(LC3_PARAMS["family"] + "\n")
+    Path("odd.jsonl").write_text(json.dumps(record) + "\n")
+    code, out, err = run(capsys, "report", "odd.jsonl", "--no-timestamp")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert (result["skipped_lines"], result["f_rows"], result["maximality_rows"]) == (0, 0, 0)
+
+
+def test_report_into_the_ledger_it_reads(tmp_path, capsys, monkeypatch):
+    """README's workflow appends each report to the ledger it reads; the
+    reports read different ledgers, so they are not compared."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ("search-min", "--n", "3", "--k", "3"),
+        ("report", "runs.jsonl"),
+        ("search-min", "--n", "4", "--k", "3"),
+        ("report", "runs.jsonl"),
+        ("report", "runs.jsonl"),
+    ):
+        code, out, err = run(capsys, *argv, "--out", "runs.jsonl")
+        assert code == 0, err
+    records = [json.loads(line) for line in Path("runs.jsonl").read_text().splitlines()]
+    assert [rec["result"]["f_rows"] for rec in records if rec["command"] == "report"] == [1, 2, 2]
+
+
+@pytest.mark.parametrize("command", [("check", "--k", "3"), ("disjointness",)])
+def test_report_does_not_compare_families_read_from_files(tmp_path, capsys, command):
+    """An @path family's result depends on the file, which params do not
+    fix: runs on either side of an edit to the file may differ."""
+    fam = tmp_path / "f.hex"
+    ledger = tmp_path / "runs.jsonl"
+    for text in (linked_cubes(4, balanced_block(4)).to_hex(), "00ff"):
+        fam.write_text(text + "\n")
+        argv = (command[0], "--n", "4", *command[1:], "--family", f"@{fam}")
+        build_ledger(ledger, capsys, [argv])
+    records = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert records[0]["params"] == records[1]["params"]
+    assert records[0]["result"] != records[1]["result"]
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 0, err
+    assert json.loads(out)["result"]["maximality_rows"] == 0
+
+
+def test_report_orders_rows_by_numeric_k(tmp_path, capsys):
+    ledger = tmp_path / "runs.jsonl"
+    build_ledger(
+        ledger,
+        capsys,
+        [
+            step
+            for k in ("10", "3", "2")
+            for step in (
+                ("check", "--n", "5", "--k", k, "--family", LC5),
+                ("search-min", "--n", "3", "--k", k),
+            )
+        ],
+    )
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 0, err
+    for table in ("f_table", "linked_cubes_maximality"):
+        with (tmp_path / f"runs_{table}.csv").open() as fh:
+            assert [row[1] for row in list(csv.reader(fh))[1:]] == ["2", "3", "10"]
+
+
+def test_family_counts_are_checked(capsys):
+    code, out, err = run(capsys, "disjointness", "--n", "2", *["--family", "f"] * 3)
+    assert code == 1 and "one or two --family values" in err and out == ""
+    code, out, err = run(capsys, "stats", "--n", "2", "--family", "f", "--ell", "2")
+    assert code == 1 and "exactly two --family values" in err and out == ""
+
+
 DATA = Path(__file__).parent / "data"
 LC5 = linked_cubes(5, balanced_block(5)).to_hex()
 LC7 = linked_cubes(7, balanced_block(7)).to_hex()
