@@ -6,130 +6,20 @@ exact.  The package constructs the reference cube families, verifies
 k-wise intersection and maximality, searches exhaustively for the
 minimum maximal-family size at small n, and audits the counting and
 stability arguments that bound those sizes in general.
+
+The package exports the family-level API; each name is declared in the
+__all__ of the module that defines it.  The bit primitives on raw
+bitmaps and masks are imported from kwise.bitops.
 """
 
-from .bitops import (
-    cube_bits,
-    down_close_bits,
-    family_full_bitmap,
-    full_mask,
-    iter_bits,
-    mask_complement,
-    mask_elements,
-    mask_from_elements,
-    supercube_bits,
-    up_close_bits,
-)
-from .constructions import (
-    Partition,
-    balanced_block,
-    janzer_size,
-    linked_cubes,
-    linked_cubes_size,
-    pair_of_cubes,
-    series_of_cubes,
-    series_of_cubes_size,
-)
-from .core import (
-    KwiseMode,
-    SetFamily,
-    addable_sets,
-    complement_family,
-    complement_within_powerset,
-    hex_digits,
-    is_down_closed,
-    is_k_wise_intersecting,
-    is_maximal_k_wise,
-    maximal_closure,
-    restrict_plus,
-    symmetric_difference_count,
-)
-from .disjointness import (
-    BipartizationResult,
-    DisjointnessGraph,
-    StabilityStats,
-    build_bipartite,
-    build_graph,
-    count_edges_touching,
-    f_xy,
-    min_bipartization,
-    stability_stats,
-)
-from .generator import (
-    CorrespondenceResult,
-    CoverageResult,
-    coverage,
-    verify_maximal_generator_correspondence,
-)
-from .search import (
-    ClaimCountsReport,
-    SearchConfig,
-    SearchReport,
-    audit_claim_counts,
-    canonical_form,
-    enumerate_maximal_families,
-    enumerate_upsets,
-    oracle_min,
-    partition_relative_to_cubes,
-    product_bound_terms,
-    search_min,
-)
+from .constructions import *
+from .core import *
+from .disjointness import *
+from .generator import *
+from .search import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartizationResult",
-    "ClaimCountsReport",
-    "CorrespondenceResult",
-    "CoverageResult",
-    "DisjointnessGraph",
-    "KwiseMode",
-    "Partition",
-    "SearchConfig",
-    "SearchReport",
-    "SetFamily",
-    "StabilityStats",
-    "addable_sets",
-    "audit_claim_counts",
-    "balanced_block",
-    "build_bipartite",
-    "build_graph",
-    "canonical_form",
-    "complement_family",
-    "complement_within_powerset",
-    "count_edges_touching",
-    "coverage",
-    "cube_bits",
-    "down_close_bits",
-    "enumerate_maximal_families",
-    "enumerate_upsets",
-    "f_xy",
-    "family_full_bitmap",
-    "full_mask",
-    "hex_digits",
-    "is_down_closed",
-    "is_k_wise_intersecting",
-    "is_maximal_k_wise",
-    "iter_bits",
-    "janzer_size",
-    "linked_cubes",
-    "linked_cubes_size",
-    "mask_complement",
-    "mask_elements",
-    "mask_from_elements",
-    "maximal_closure",
-    "min_bipartization",
-    "oracle_min",
-    "pair_of_cubes",
-    "partition_relative_to_cubes",
-    "product_bound_terms",
-    "restrict_plus",
-    "search_min",
-    "series_of_cubes",
-    "series_of_cubes_size",
-    "stability_stats",
-    "supercube_bits",
-    "symmetric_difference_count",
-    "up_close_bits",
-    "verify_maximal_generator_correspondence",
-]
+__all__ = (
+    constructions.__all__ + core.__all__ + disjointness.__all__ + generator.__all__ + search.__all__
+)

@@ -201,6 +201,9 @@ def _cmd_audit(args, params: Dict[str, Any]) -> Dict[str, Any]:
 
 def _stable_payload(result: Dict[str, Any]) -> str:
     trimmed = {k: v for k, v in result.items() if k not in VOLATILE_RESULT_KEYS}
+    family = trimmed.get("family")
+    if isinstance(family, dict):  # a sidecar's path names the directory the run wrote to
+        trimmed["family"] = {k: v for k, v in family.items() if k != "path"}
     return json.dumps(trimmed, sort_keys=True)
 
 
@@ -208,7 +211,7 @@ def _ledger_record(line: str) -> Any:
     """A ledger line as a record, or None when the line is malformed."""
     try:
         rec = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):  # a line nested too deeply to parse is malformed too
         return None
     if isinstance(rec, dict) and isinstance(rec.get("command"), str):
         if all(isinstance(rec.get(key), dict) for key in ("params", "result")):

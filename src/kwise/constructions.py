@@ -8,6 +8,17 @@ sizes for the balanced cases.
 
 from __future__ import annotations
 
+__all__ = [
+    "Partition",
+    "balanced_block",
+    "janzer_size",
+    "linked_cubes",
+    "linked_cubes_size",
+    "pair_of_cubes",
+    "series_of_cubes",
+    "series_of_cubes_size",
+]
+
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 

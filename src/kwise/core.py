@@ -8,6 +8,21 @@ fits in one explicit 2^n-bit membership bitmap.
 
 from __future__ import annotations
 
+__all__ = [
+    "KwiseMode",
+    "SetFamily",
+    "addable_sets",
+    "complement_family",
+    "complement_within_powerset",
+    "hex_digits",
+    "is_down_closed",
+    "is_k_wise_intersecting",
+    "is_maximal_k_wise",
+    "maximal_closure",
+    "restrict_plus",
+    "symmetric_difference_count",
+]
+
 import binascii
 import enum
 import itertools
@@ -131,6 +146,11 @@ def _check_same_ground(a: SetFamily, b: SetFamily) -> None:
 def _check_k(k: int) -> None:
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an int >= 2, got {k!r}")
+
+
+def _check_mode(mode: KwiseMode) -> None:
+    if not isinstance(mode, KwiseMode):
+        raise ValueError(f"mode must be a KwiseMode, got {mode!r}")
 
 
 def _exact_eps(eps) -> Fraction:
@@ -308,6 +328,7 @@ class ReachState:
     def __init__(self, n: int, k: int, mode: KwiseMode = KwiseMode.DISTINCT):
         """The state of the empty family."""
         _check_k(k)
+        _check_mode(mode)
         self.n = n
         self.k = k
         self.mode = mode

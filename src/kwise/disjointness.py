@@ -7,6 +7,18 @@ derived ratios are exact rationals.
 
 from __future__ import annotations
 
+__all__ = [
+    "BipartizationResult",
+    "DisjointnessGraph",
+    "StabilityStats",
+    "build_bipartite",
+    "build_graph",
+    "count_edges_touching",
+    "f_xy",
+    "min_bipartization",
+    "stability_stats",
+]
+
 import math
 import random
 from dataclasses import dataclass

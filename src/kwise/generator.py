@@ -8,6 +8,13 @@ rational eps.
 
 from __future__ import annotations
 
+__all__ = [
+    "CorrespondenceResult",
+    "CoverageResult",
+    "coverage",
+    "verify_maximal_generator_correspondence",
+]
+
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -27,7 +34,6 @@ from .core import (
     complement_within_powerset,
     is_down_closed,
     is_maximal_k_wise,
-    _check_k,
 )
 
 
@@ -97,7 +103,6 @@ def verify_maximal_generator_correspondence(
     input must be maximal; the claim itself is tested, and any uncovered
     non-members are returned rather than assumed impossible.
     """
-    _check_k(k)
     if not is_maximal_k_wise(family, k, mode):
         raise ValueError("family is not maximal k-wise intersecting in the given mode")
     covered = coverage(complement_family(family), k - 1).covered

@@ -15,6 +15,20 @@ family against the split and the exact bound arithmetic.
 
 from __future__ import annotations
 
+__all__ = [
+    "ClaimCountsReport",
+    "SearchConfig",
+    "SearchReport",
+    "audit_claim_counts",
+    "canonical_form",
+    "enumerate_maximal_families",
+    "enumerate_upsets",
+    "oracle_min",
+    "partition_relative_to_cubes",
+    "product_bound_terms",
+    "search_min",
+]
+
 import itertools
 import math
 import operator
@@ -22,7 +36,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from .bitops import (
     _relabelings,
@@ -39,6 +53,7 @@ from .core import (
     ReachState,
     SetFamily,
     _check_k,
+    _check_mode,
     _exact_eps,
     complement_family,
     symmetric_difference_count,
@@ -138,6 +153,8 @@ def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamil
     """
     if n > MAX_UPSET_GROUND:
         raise ValueError(f"exhaustive enumeration capped at n={MAX_UPSET_GROUND}, got {n}")
+    _check_k(k)
+    _check_mode(mode)
     results = [SetFamily(n, bm) for _, bm in _below_k_maximal(n, k, mode) if bm]
     for bm in enumerate_upsets(n):
         if bm.bit_count() < k:
@@ -159,8 +176,7 @@ class SearchConfig:
         if self.n > MAX_SEARCH_GROUND:
             raise ValueError(f"search capped at n={MAX_SEARCH_GROUND}, got {self.n}")
         _check_k(self.k)
-        if not isinstance(self.mode, KwiseMode):
-            raise ValueError(f"mode must be a KwiseMode, got {self.mode!r}")
+        _check_mode(self.mode)
         if not math.isfinite(self.budget) or self.budget <= 0:
             raise ValueError(f"budget must be a positive finite number, got {self.budget!r}")
 
@@ -169,8 +185,10 @@ class SearchConfig:
 class SearchReport:
     """Outcome of a minimum-size search.
 
-    f_value is the minimum, which always equals lower_bound, or None if the
-    budget ran out before the scan met a maximal family.  Witnesses are
+    f_value is the minimum, which always equals lower_bound, even when the
+    budget ran out: the scan's first combination, the empty set with
+    floor - 1 other masks, is maximal, and the budget is first read at the
+    256th combination.  Witnesses are
     canonical forms, pairwise non-isomorphic, sorted by bitmap;
     matched_linked_cubes aligns with them and flags isomorphism to the
     balanced linked-cubes family.  When optimal is False the scan was cut
@@ -178,7 +196,7 @@ class SearchReport:
     """
 
     config: SearchConfig
-    f_value: Optional[int]
+    f_value: int
     witnesses: Tuple[SetFamily, ...]
     matched_linked_cubes: Tuple[bool, ...]
     nodes_explored: int
@@ -219,20 +237,17 @@ def search_min(config: SearchConfig) -> SearchReport:
             break
         if bm and bm not in seen:
             forms.append(_least_relabeling(n, bm, seen))
-    # the empty set and floor - 1 other masks are maximal: forms is empty
-    # only when the budget ran out first
-    best = floor if forms else None
 
     witnesses = tuple(SetFamily(n, bm) for bm in sorted(forms))
     matched = (False,) * len(witnesses)
     # isomorphic families have equal sizes, so the linked cubes can only
     # match when the minimum is their size
-    if n >= 2 and best == linked_cubes_size(n, n // 2):
+    if n >= 2 and floor == linked_cubes_size(n, n // 2):
         target = canonical_form(linked_cubes(n, balanced_block(n))).bitmap
         matched = tuple(w.bitmap == target for w in witnesses)
     return SearchReport(
         config=config,
-        f_value=best,
+        f_value=floor,
         witnesses=witnesses,
         matched_linked_cubes=matched,
         nodes_explored=nodes,
@@ -296,8 +311,8 @@ def oracle_min(n: int, k: int, mode: KwiseMode = KwiseMode.DISTINCT) -> int:
     check_ground(n)
     if n > MAX_ORACLE_GROUND:
         raise ValueError(f"oracle capped at n={MAX_ORACLE_GROUND}, got {n}")
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    _check_k(k)
+    _check_mode(mode)
     count = 1 << n
     for size in range(1, count + 1):
         for combo in itertools.combinations(range(count), size):

@@ -22,7 +22,6 @@ from kwise import (
     coverage,
     enumerate_maximal_families,
     f_xy,
-    full_mask,
     is_k_wise_intersecting,
     linked_cubes,
     maximal_closure,
@@ -34,6 +33,7 @@ from kwise import (
     series_of_cubes,
     verify_maximal_generator_correspondence,
 )
+from kwise.bitops import full_mask
 from kwise.cli import main as cli_main
 from kwise.search import _naive_is_kwise, _naive_is_maximal
 

@@ -627,6 +627,50 @@ def test_report_orders_rows_by_numeric_k(tmp_path, capsys):
             assert [row[1] for row in list(csv.reader(fh))[1:]] == ["2", "3", "10"]
 
 
+def test_report_counts_a_too_deeply_nested_line_as_malformed(tmp_path, capsys):
+    ledger = tmp_path / "runs.jsonl"
+    build_ledger(ledger, capsys, [("search-min", "--n", "3", "--k", "3")])
+    with ledger.open("a") as fh:
+        fh.write("[" * 100_000 + "\n")
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 0, err
+    assert "skipped 1 malformed" in err
+    result = json.loads(out)["result"]
+    assert (result["skipped_lines"], result["f_rows"]) == (1, 1)
+
+
+def test_report_compares_sidecar_families_by_digest(tmp_path, capsys, monkeypatch):
+    """Runs from two directories write their sidecars to different paths;
+    the same digest is the same family, a different digest is not."""
+    lines = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        code, out, err = run(capsys, "construct", "pair-of-cubes", "--n", "21", "--no-timestamp")
+        assert code == 0, err
+        lines.append(out)
+    records = [json.loads(line) for line in lines]
+    assert records[0]["result"]["family"]["path"] != records[1]["result"]["family"]["path"]
+    ledger = tmp_path / "runs.jsonl"
+    ledger.write_text("".join(lines))
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 0, err
+    records[1]["result"]["family"]["sha256"] = "0" * 64
+    ledger.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 1
+    assert "integrity violation for construct" in err
+
+
+def test_report_leaves_the_balanced_pair_size_blank_at_n_1(tmp_path, capsys):
+    ledger = tmp_path / "runs.jsonl"
+    build_ledger(ledger, capsys, [("search-min", "--n", "1", "--k", "2")])
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 0, err
+    with (tmp_path / "runs_f_table.csv").open() as fh:
+        assert list(csv.reader(fh))[1:] == [["1", "2", "distinct", "1", "", "2", ""]]
+
+
 def test_family_counts_are_checked(capsys):
     code, out, err = run(capsys, "disjointness", "--n", "2", *["--family", "f"] * 3)
     assert code == 1 and "one or two --family values" in err and out == ""

@@ -9,7 +9,6 @@ from kwise import (
     Partition,
     balanced_block,
     complement_family,
-    full_mask,
     is_k_wise_intersecting,
     is_maximal_k_wise,
     janzer_size,
@@ -19,6 +18,7 @@ from kwise import (
     series_of_cubes,
     series_of_cubes_size,
 )
+from kwise.bitops import full_mask
 
 
 def test_linked_cubes_membership_bruteforce():
@@ -62,6 +62,12 @@ def test_linked_cubes_validation():
         linked_cubes(3, 0b111)
     with pytest.raises(ValueError):
         linked_cubes(3, 1 << 3)
+
+
+@pytest.mark.parametrize("block_size", [0, 3, -1])
+def test_linked_cubes_size_needs_a_proper_block(block_size):
+    with pytest.raises(ValueError, match="0 < size < n"):
+        linked_cubes_size(3, block_size)
 
 
 @pytest.mark.parametrize("n", [27, 40])

@@ -21,16 +21,14 @@ from kwise import (
     addable_sets,
     complement_family,
     complement_within_powerset,
-    down_close_bits,
     is_down_closed,
     is_k_wise_intersecting,
     is_maximal_k_wise,
-    iter_bits,
     maximal_closure,
     restrict_plus,
     symmetric_difference_count,
-    up_close_bits,
 )
+from kwise.bitops import down_close_bits, iter_bits, up_close_bits
 from kwise.core import ReachState
 
 DISTINCT = KwiseMode.DISTINCT
@@ -119,6 +117,12 @@ def test_membership_and_sizes():
     assert fam.member_list() == [0, 5]
     with pytest.raises(ValueError):
         SetFamily.from_masks(2, [4])
+
+
+def test_repr_lists_up_to_eight_members():
+    assert repr(SetFamily.from_masks(3, [0, 5])) == "SetFamily(n=3, {0,5})"
+    assert repr(SetFamily(3, (1 << 8) - 1)) == "SetFamily(n=3, {0,1,2,3,4,5,6,7})"
+    assert repr(SetFamily(4, (1 << 9) - 1)) == "SetFamily(n=4, {9 members})"
 
 
 def test_membership_of_non_masks_is_false():

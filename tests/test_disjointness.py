@@ -18,11 +18,11 @@ from kwise import (
     build_bipartite,
     build_graph,
     count_edges_touching,
-    cube_bits,
     f_xy,
     min_bipartization,
     stability_stats,
 )
+from kwise.bitops import cube_bits
 from kwise.disjointness import MAX_EXACT_CUT_VERTICES, _exact_max_cut
 
 
@@ -294,6 +294,19 @@ def test_bipartization_heuristic_frozen_anchors(m, want):
     res = min_bipartization(workload_graph(m, m), mode="heuristic", seed=m)
     assert not res.exact
     assert (res.deleted, res.left_masks, res.right_masks) == want
+
+
+def test_bipartization_heuristic_stops_mid_pass_at_the_move_cap(monkeypatch):
+    """Capped at one move evaluation, the local search flips at most one
+    vertex of its seeded starting split."""
+    graph = workload_graph(20, 20)
+    uncapped = min_bipartization(graph, mode="heuristic", seed=20)
+    monkeypatch.setattr("kwise.disjointness.MAX_HEURISTIC_MOVES", 1)
+    res = min_bipartization(graph, mode="heuristic", seed=20)
+    assert res != uncapped and res.deleted >= uncapped.deleted
+    start = random.Random(20).getrandbits(20)
+    split = sum(1 << i for i, m in enumerate(graph.left) if m in res.right_masks)
+    assert (split ^ start).bit_count() <= 1
 
 
 def test_import_loads_no_numpy():

@@ -14,13 +14,13 @@ from kwise import (
     Partition,
     SetFamily,
     coverage,
-    down_close_bits,
     enumerate_maximal_families,
     linked_cubes,
     pair_of_cubes,
     series_of_cubes,
     verify_maximal_generator_correspondence,
 )
+from kwise.bitops import down_close_bits
 
 
 def naive_coverage(members, k):

@@ -16,22 +16,25 @@ from kwise import (
     KwiseMode,
     SearchConfig,
     SetFamily,
+    addable_sets,
     audit_claim_counts,
     balanced_block,
     canonical_form,
     complement_family,
-    cube_bits,
     enumerate_maximal_families,
     enumerate_upsets,
-    full_mask,
+    is_k_wise_intersecting,
+    is_maximal_k_wise,
     linked_cubes,
+    maximal_closure,
     oracle_min,
     partition_relative_to_cubes,
     product_bound_terms,
     search_min,
-    supercube_bits,
-    up_close_bits,
+    verify_maximal_generator_correspondence,
 )
+from kwise.bitops import cube_bits, full_mask, supercube_bits, up_close_bits
+from kwise.core import ReachState
 from kwise.search import (
     _below_k_maximal,
     _least_relabeling,
@@ -493,6 +496,38 @@ def test_search_config_validation():
     # k-member collections
     assert oracle_min(3, 10**9) == 8
     assert oracle_min(3, 10**9, REPETITION) == 1
+
+
+LC3 = linked_cubes(3, balanced_block(3))
+MODE_AND_K_CALLS = {
+    "ReachState": lambda k, mode: ReachState(3, k, mode),
+    "is_k_wise_intersecting": lambda k, mode: is_k_wise_intersecting(LC3, k, mode),
+    "addable_sets": lambda k, mode: addable_sets(SetFamily.from_masks(3, [1]), k, mode),
+    "is_maximal_k_wise": lambda k, mode: is_maximal_k_wise(LC3, k, mode),
+    "maximal_closure": lambda k, mode: maximal_closure(SetFamily.from_masks(3, [1]), k, mode),
+    "verify_maximal_generator_correspondence": (
+        lambda k, mode: verify_maximal_generator_correspondence(LC3, k, mode)
+    ),
+    "SearchConfig": lambda k, mode: SearchConfig(n=3, k=k, mode=mode),
+    "oracle_min": lambda k, mode: oracle_min(3, k, mode),
+    "enumerate_maximal_families": lambda k, mode: enumerate_maximal_families(3, k, mode),
+}
+
+
+@pytest.mark.parametrize("call", MODE_AND_K_CALLS.values(), ids=list(MODE_AND_K_CALLS))
+@pytest.mark.parametrize(
+    "k, mode", [(3, "distinct"), (3, "repetition"), (1, DISTINCT)], ids=["distinct", "repetition", "k=1"]
+)
+def test_mode_and_k_are_checked(call, k, mode):
+    """A mode given as its string value, or a k below 2, is refused
+    instead of answered."""
+    with pytest.raises(ValueError, match="mode must be a KwiseMode|k must be an int >= 2"):
+        call(k, mode)
+
+
+def test_enumeration_refuses_n_above_its_cap():
+    with pytest.raises(ValueError, match="capped at n=5"):
+        enumerate_maximal_families(6, 3, DISTINCT)
 
 
 # -------------------------------------------------- cube-split audit
