@@ -6,7 +6,6 @@ belongs to the subset.  A family of subsets is a single int used as a
 a member).  Everything here is a pure function on ints.
 """
 
-import re
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, List
@@ -96,16 +95,16 @@ def reverse_index_bits(bm: int, n: int) -> int:
     return bm
 
 
-def _minimal_members(bm: int, n: int) -> int:
-    """Members of a family bitmap that contain no other member.
+def _minimal_candidates(bm: int, n: int) -> int:
+    """Members of a family bitmap with no member one element smaller.
 
-    A member strictly contains another exactly when it is one element
-    larger than some mask of the up-closure.
+    A superset of the minimal members, found in n passes; on an up-closed
+    family, where a member containing another contains one a single
+    element smaller, it is exactly the minimal members.
     """
-    up = up_close_bits(bm, n)
     larger = 0
     for i in range(n):
-        larger |= (up & _clear_bit_pattern(n, i)) << (1 << i)
+        larger |= (bm & _clear_bit_pattern(n, i)) << (1 << i)
     return bm & ~larger
 
 
@@ -228,23 +227,28 @@ def supercube_bits(mask: int, n: int) -> int:
 _BYTE_BITS = tuple(
     tuple(j for j in range(8) if (b >> j) & 1) for b in range(256)
 )
-_NONZERO_RUNS = re.compile(rb"[^\x00]+")
+_NONZERO_TO_ONE = bytes([0] + [1] * 255)
 
 
 def iter_bits(bm: int) -> Iterator[int]:
     """Indices of set bits, ascending.
 
-    The regex engine skips the zero bytes of the little-endian bytes, so
-    Python-level work is proportional to the nonzero bytes, not to the
-    bit length.
+    The little-endian bytes are translated to 0 and 1 flags, and
+    bytes.find (memchr) locates each run of nonzero bytes, so Python-level
+    work is proportional to the nonzero bytes, not to the bit length.
     """
     if bm < 0:
         raise ValueError("negative bitmap")
     data = bm.to_bytes((bm.bit_length() + 7) // 8, "little")
-    for run in _NONZERO_RUNS.finditer(data):
-        base = run.start() << 3
-        for byte in run.group():
+    flags = data.translate(_NONZERO_TO_ONE)
+    start = flags.find(1)
+    while start >= 0:
+        end = flags.find(0, start)
+        if end < 0:
+            end = len(flags)
+        base = start << 3
+        for byte in data[start:end]:
             for j in _BYTE_BITS[byte]:
                 yield base + j
             base += 8
-
+        start = flags.find(1, end)

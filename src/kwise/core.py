@@ -212,15 +212,16 @@ _SPARSE_LIMITS = tuple(
 )
 
 
-# ReachState.of strikes the non-minimal members of a family with bitmap
-# passes once it has at least n * 2^n / 2^_MINIMAL_PASS_SHIFT members.  The
-# passes cost about 2n big-int operations over the 2^n-bit bitmap, the walk
-# they replace about one Python step per member.  Timed with either side
-# forced, the passes won on random families at the bound (n = 16 and 20)
-# and on linked cubes up to n = 19, and lost from n = 21 on; linked cubes
-# broke even at n = 20, about n * 2^n / 2^13 members (BENCH_10.json), so
-# the bound sits there and linked cubes up to n = 19 take the passes.
-_MINIMAL_PASS_SHIFT = 13
+# ReachState.of strikes the members one element larger than another with
+# bitmap passes once it has at least n * 2^n / 2^_MINIMAL_PASS_SHIFT
+# members.  The passes cost about n big-int operations over the 2^n-bit
+# bitmap, the walk they replace about one Python step per member.  Timed
+# with either side forced (BENCH_23.json), the passes won on balanced
+# linked cubes up to n = 20 (4.7-5.1 ms against 6.0-6.4 ms walked), broke
+# even at n = 21, about n * 2^n / 2^14 members, and lost from n = 22 on
+# (21-27 ms against 13 ms); on random families at that bound (n = 16 and
+# 20) the two sides stayed within the noise.  So the bound sits at 2^14.
+_MINIMAL_PASS_SHIFT = 14
 
 
 def _bitmap_of(masks: Iterable[int], n: int) -> int:
@@ -245,13 +246,23 @@ def _merge_minimal(layer: Tuple[int, ...], masks: Iterable[int]) -> Tuple[int, .
 
 
 def _fold_layers(layers: Tuple, g: int, n: int) -> Tuple:
-    """Layers R_1..R_k after folding member g into the members they were
-    built from; the first k members start from ((),) * k, all empty.
+    """Layers R_1..R_(k-1) and the bit [the empty set is in R_k] after
+    folding member g into the members they were built from; the first k
+    members start from ((),) * (k - 1) + (0,).
 
+    R_k gains the empty set when g misses some t in R_(k-1); against a
+    dense R_(k-1) that is one AND with the cube of g's complement.
     Unchanged layers are returned as the same objects.
     """
     new = list(layers)
-    for j in range(len(new) - 1, 0, -1):
+    last = len(new) - 1
+    if not new[last]:
+        src = new[last - 1]
+        if type(src) is int:
+            new[last] = 1 if src & cube_bits(full_mask(n) ^ g) else 0
+        else:
+            new[last] = 1 if any(not t & g for t in src) else 0
+    for j in range(last - 1, 0, -1):
         src, dst = new[j - 1], new[j]
         if type(dst) is tuple:
             new[j] = _merge_minimal(dst, {t & g for t in src})
@@ -282,8 +293,9 @@ def _fold_past_k(layers: Tuple, g: int, n: int) -> Tuple:
 
 
 class ReachState:
-    """Reach layers R_1..R_k of a family of at least k members, built one
-    member at a time, or the common intersection of fewer.
+    """Reach layers R_1..R_(k-1) and whether R_k holds the empty set, for
+    a family of at least k members, built one member at a time, or the
+    common intersection of fewer.
 
     R_j holds the masks that are the intersection of exactly j pairwise
     distinct members.  Folding in a new member g adds {t & g : t in R_(j-1)}
@@ -306,9 +318,10 @@ class ReachState:
     no up-closure (any collection through it is dominated by the same
     collection through the earlier member, or by one more distinct member),
     so its fold only counts it.  ReachState.of therefore folds, past its
-    first k members, only the minimal members of a large family: in an
-    up-closed one those are few, n of the 2^ceil(n/2) + 2^floor(n/2) - 3
-    members of the balanced linked cubes and one of a star.
+    first k members, only the members of a large family with no member one
+    element smaller.  In an up-closed one those are its minimal members,
+    and few: n of the 2^ceil(n/2) + 2^floor(n/2) - 3 members of the
+    balanced linked cubes and one of a star.
 
     The layers nest: in a family of more than j members, each t in R_j
     contains t & h, which is in R_(j+1), for any member h outside t's
@@ -316,7 +329,9 @@ class ReachState:
     something in R_(j+1), and if R_j reaches the empty set so does
     R_(j+1).  Each question therefore reads one layer, the highest it
     ranges over, and the two modes give different answers only below k
-    members.
+    members.  Only hits_empty reads R_k, and only for the empty set, so
+    the last entry of layers is that bit, the int 1 or 0: it turns 1 when
+    a new member misses some t in R_(k-1).
 
     States are immutable: fold returns a new state and shares unchanged
     layers with the old one, which stays valid for comparison, as
@@ -333,7 +348,9 @@ class ReachState:
         self.k = k
         self.mode = mode
         self.size = 0
-        self.layers: Tuple = ()  # layers[j - 1] is R_j, from k members on
+        # from k members on, layers[j - 1] is R_j for j < k and layers[k - 1]
+        # is 1 when R_k holds the empty set, 0 when not
+        self.layers: Tuple = ()
         self.common = full_mask(n)
         self.members = 0
 
@@ -349,11 +366,13 @@ class ReachState:
 
         Below k members it reads I off the bitmap without listing them.
         After the first k members, a family of at least
-        n * 2^n / 2^_MINIMAL_PASS_SHIFT members folds only its minimal
-        members.  The state is the same as from folding every member: a
-        skipped member contains a member with a smaller mask, which was
-        folded before it, so its fold would have returned the layers
-        unchanged, and I is the same.
+        n * 2^n / 2^_MINIMAL_PASS_SHIFT members skips, in n bitmap passes,
+        each member one element larger than another member.  The state is
+        the same as from folding every member: a skipped member contains a
+        member with a smaller mask, which was folded before it, so its fold
+        would have returned the layers unchanged, and I is the same.  A
+        non-minimal member that is not skipped contains a minimal member,
+        which is never skipped, so its fold returns the layers unchanged.
         """
         empty = cls(family.n, k, mode)
         n, bm = family.n, family.bitmap
@@ -361,11 +380,11 @@ class ReachState:
         if size < k:  # element i + 1 is common when no member avoids it
             common = sum(1 << i for i in range(n) if not bm & bitops._clear_bit_pattern(n, i))
             return empty._after(size, (), common, bm)
-        members, layers, common = iter_bits(bm), ((),) * k, empty.common
+        members, layers, common = iter_bits(bm), ((),) * (k - 1) + (0,), empty.common
         for g in itertools.islice(members, k):
             layers, common = _fold_layers(layers, g, n), common & g
         if size << _MINIMAL_PASS_SHIFT >= n << n:
-            members = iter_bits(bitops._minimal_members(bm, n) >> (g + 1) << (g + 1))
+            members = iter_bits(bitops._minimal_candidates(bm, n) >> (g + 1) << (g + 1))
         for g in members:
             layers, common = _fold_past_k(layers, g, n), common & g
         return empty._after(size, layers, common, bm)
@@ -380,11 +399,10 @@ class ReachState:
 
     def hits_empty(self) -> bool:
         """Whether some 2..k distinct members have an empty intersection,
-        read from I below k members and from R_k, the last layer, on."""
+        read from I below k members and from the bit kept for R_k on."""
         if not self.layers:
             return self.size >= 2 and self.common == 0
-        layer = self.layers[-1]
-        return bool(layer & 1) if type(layer) is int else 0 in layer
+        return self.layers[-1] == 1
 
     def intersecting(self) -> bool:
         """The k-wise verdict for the folded family, in the state's mode."""

@@ -66,8 +66,8 @@ def coverage(family: SetFamily, k: int) -> CoverageResult:
     covered.  The levels are the same; only the one down-closure check is
     added for other families.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
     n = family.n
     full = family_full_bitmap(n)
     covered = family.bitmap

@@ -31,6 +31,7 @@ __all__ = [
 
 import itertools
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -177,8 +178,14 @@ class SearchConfig:
             raise ValueError(f"search capped at n={MAX_SEARCH_GROUND}, got {self.n}")
         _check_k(self.k)
         _check_mode(self.mode)
-        if not math.isfinite(self.budget) or self.budget <= 0:
-            raise ValueError(f"budget must be a positive finite number, got {self.budget!r}")
+        budget = self.budget
+        if (
+            isinstance(budget, bool)
+            or not isinstance(budget, numbers.Real)
+            or not math.isfinite(budget)
+            or budget <= 0
+        ):
+            raise ValueError(f"budget must be a positive finite number, got {budget!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Bit-level primitives checked against brute-force set arithmetic."""
 
+import itertools
+import random
 import re
 
 import pytest
@@ -20,7 +22,7 @@ from kwise import (
 )
 from kwise.bitops import (
     _maximal_members,
-    _minimal_members,
+    _minimal_candidates,
     cube_bits,
     down_close_bits,
     family_full_bitmap,
@@ -152,14 +154,61 @@ def test_iter_bits_runs_and_gaps():
         list(iter_bits(-1))
 
 
+def bits_by_lowest(bm, chunk=64):
+    """Set bits of bm, found by peeling off the lowest one with bm & -bm,
+    one chunk of bytes at a time so that a 2^22-bit int stays quick."""
+    data = bm.to_bytes((bm.bit_length() + 7) // 8, "little")
+    for start in range(0, len(data), chunk):
+        part = int.from_bytes(data[start : start + chunk], "little")
+        while part:
+            low = part & -part
+            yield 8 * start + low.bit_length() - 1
+            part ^= low
+
+
+def test_iter_bits_matches_peeling_the_lowest_bit():
+    top = (1 << 22) - 1
+    rng = random.Random(22)
+    cases = [0, 1 << top, 1 | 1 << top, 0xFF, 0xFF << (top - 7), 0xFF | 0xFF << (top - 7)]
+    # runs that start at the first byte, end at the last byte, or both
+    cases += [(1 << 4096) - 1, ((1 << 4096) - 1) << (top - 4095), (1 << (1 << 16)) - 1]
+    for bits in (1 << 10, 1 << 18, 1 << 22):
+        # sparse: a few dozen bits; dense: about half the bits of the
+        # lowest and the highest sixteenth, a long zero stretch between
+        cases.append(sum(1 << rng.randrange(bits) for _ in range(40)))
+        edge = bits >> 4
+        cases.append(rng.getrandbits(edge) << (bits - edge) | rng.getrandbits(edge))
+    for bm in cases:
+        pairs = itertools.zip_longest(iter_bits(bm), bits_by_lowest(bm))
+        assert all(got == want for got, want in pairs)
+
+
 @given(family_bitmaps(max_n=5))
 @settings(deadline=None)
-def test_minimal_and_maximal_members_match_bruteforce(nb):
+def test_minimal_candidates_contain_the_minimal_members(nb):
+    # one pass strikes only members one element larger than a member:
+    # every minimal member survives, and on an up-set nothing else does
     n, bm = nb
-    members = members_of(bm)
-    minimal = [m for m in members if not any(a != m and a & m == a for a in members)]
-    assert _minimal_members(bm, n) == bitmap_of(minimal)
+    for fam in (bm, up_close_bits(bm, n)):
+        members = members_of(fam)
+        minimal = bitmap_of(
+            m for m in members if not any(a != m and a & m == a for a in members)
+        )
+        got = _minimal_candidates(fam, n)
+        assert got & ~fam == 0 and minimal & ~got == 0
+    assert got == minimal
+
+
+def test_minimal_candidates_keep_a_member_two_elements_larger():
+    # {1} and {1,2,3}: the larger one has no member one element smaller
+    assert _minimal_candidates(bitmap_of([0b001, 0b111]), 3) == bitmap_of([0b001, 0b111])
+
+
+@given(family_bitmaps(max_n=5))
+@settings(deadline=None)
+def test_maximal_members_match_bruteforce(nb):
     # _maximal_members reads only one-element steps, so it is exact on down-sets
+    n, bm = nb
     down = down_close_bits(bm, n)
     members = members_of(down)
     maximal = [m for m in members if not any(a != m and a & m == m for a in members)]

@@ -54,6 +54,12 @@ def test_coverage_level_one_is_members():
         coverage(fam, 0)
 
 
+@pytest.mark.parametrize("k", [2.5, "2", True, False, None, 0, -1])
+def test_coverage_refuses_a_k_that_is_no_positive_int(k):
+    with pytest.raises(ValueError, match="k must be an int >= 1"):
+        coverage(SetFamily(2, 0b1110), k)
+
+
 @given(families(), st.integers(min_value=1, max_value=4))
 @settings(deadline=None, max_examples=60)
 def test_coverage_matches_naive(fam, k):

@@ -4,10 +4,11 @@ The oracles (`_naive_is_kwise`, `_naive_addable`, `_naive_is_maximal`)
 enumerate member collections with itertools and never touch ReachState,
 so agreement is meaningful.  Inputs cover both layer representations:
 uniform families of large subsets push a layer past the sparse width
-limit into a dense bitmap, linked cubes keep every layer a sparse
-antichain.  ReachState.of, which skips non-minimal members of large
-families, is also compared layer for layer with a plain fold of every
-member.
+limit into a dense bitmap, linked cubes keep every layer below R_k a
+sparse antichain.  R_k is kept as one bit, whether it holds the empty
+set, and is checked against a reference fold that keeps every layer in
+full.  ReachState.of, which skips non-minimal members of large families,
+is also compared layer for layer with a plain fold of every member.
 """
 
 import itertools
@@ -44,7 +45,19 @@ def uniform(n, r):
 
 
 def dense_layers(state):
-    return [type(layer) is int for layer in state.layers]
+    """Which of R_1..R_(k-1) are dense; the last entry of layers is R_k's bit."""
+    return [type(layer) is int for layer in state.layers[:-1]]
+
+
+def full_layers(members, k):
+    """Reference fold keeping every layer R_1..R_k in full: R_j is the set
+    of intersections of j distinct members."""
+    layers = [set() for _ in range(k)]
+    for g in members:
+        for j in range(k - 1, 0, -1):
+            layers[j] |= {t & g for t in layers[j - 1]}
+        layers[0].add(g)
+    return layers
 
 
 def assert_matches_oracles(fam, k, mode, state=None):
@@ -99,20 +112,26 @@ def test_fold_order_does_not_matter(fam, k, mode, rng):
 @example(uniform(6, 4), 3, KwiseMode.DISTINCT, random.Random(2))
 @settings(deadline=None, max_examples=200)
 def test_layers_nest_and_members_are_the_family(fam, k, mode, rng):
-    # each question reads one layer because up(R_j) lies inside up(R_(j+1))
+    # each question reads one layer because up(R_j) lies inside up(R_(j+1));
+    # of R_k the state keeps only whether it holds the empty set
     members = fam.member_list()
     rng.shuffle(members)
     folded = ReachState(fam.n, k, mode)
     for g in members:
         folded = folded.fold(g)
+    empty_in_last = int(0 in full_layers(members, k)[-1])
     for state in (ReachState.of(fam, k, mode), folded):
         assert state.members == fam.bitmap
         ups = [
             up_close_bits(layer if type(layer) is int else sum(1 << t for t in layer), fam.n)
-            for layer in state.layers
+            for layer in state.layers[:-1]
         ]
         for j in range(1, min(state.size, len(ups))):
             assert ups[j - 1] & ~ups[j] == 0
+        if state.size >= k:
+            assert state.layers[-1] == empty_in_last
+            if ups and ups[-1] & 1:
+                assert state.layers[-1] == 1
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -134,13 +153,14 @@ def test_edge_cases(k, mode):
 @pytest.mark.parametrize("k", [3, 4])
 def test_wide_uniform_families_go_dense(k, mode):
     # subsets of size > 2n/3: any three of them meet, and their pairwise
-    # and triple intersections form antichains wider than the sparse limit
-    fam = uniform(6, 5)
+    # intersections, the 21 5-sets, form an antichain wider than the sparse
+    # limit, so R_2 goes dense (R_k is kept as one bit)
+    fam = uniform(7, 6)
     state = ReachState.of(fam, k, mode)
     assert any(dense_layers(state))
     assert_matches_oracles(fam, k, mode, state)
     # folded in descending mask order it goes dense the same way
-    state = ReachState(6, k, mode)
+    state = ReachState(7, k, mode)
     for g in reversed(fam.member_list()):
         state = state.fold(g)
     assert any(dense_layers(state))
@@ -148,7 +168,7 @@ def test_wide_uniform_families_go_dense(k, mode):
 
 
 def test_dense_layers_form_a_suffix():
-    for n, r in ((6, 5), (12, 9), (14, 10)):
+    for n, r in ((7, 6), (12, 9), (14, 10)):
         flags = dense_layers(ReachState.of(uniform(n, r), 3))
         assert any(flags)
         assert flags == sorted(flags)
@@ -233,8 +253,7 @@ def up_closed_families(k, mode):
         yield seeded_closure(n, k, mode, rng)
     for n in (4, 10, 14):
         yield star(n)
-    # from n = 20 on balanced linked cubes fall below the bound and are
-    # walked whole; with a one-point block they have 2^(n-1) - 1 members
+    # with a one-point block linked cubes have 2^(n-1) - 1 members
     for n in (5, 9, 12, 16, 20):
         for block in (balanced_block(n), 1)[: 2 if n < 16 else 1]:
             fam = linked_cubes(n, block)
@@ -242,6 +261,10 @@ def up_closed_families(k, mode):
             # punctured at a minimal member: its supersets may become minimal
             yield SetFamily(fam.n, fam.bitmap & ~(1 << next(iter(fam))))
             yield SetFamily(fam.n, fam.bitmap & ~(1 << (fam.bitmap.bit_length() - 1)))
+    # from n = 22 on balanced linked cubes fall below the bound and are
+    # walked whole; the reference fold takes about half a second there,
+    # so only the intact family is folded
+    yield linked_cubes(22, balanced_block(22))
 
 
 @pytest.mark.parametrize("mode", MODES)

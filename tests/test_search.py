@@ -478,6 +478,17 @@ def test_search_budget_covers_the_witness_strike_off():
     assert report.elapsed < budget + 0.25
 
 
+@pytest.mark.parametrize("budget", ["5", True, None, 1j])
+def test_search_config_refuses_a_budget_that_is_no_real_number(budget):
+    with pytest.raises(ValueError, match="budget must be a positive finite number"):
+        SearchConfig(n=3, k=3, budget=budget)
+
+
+def test_search_config_takes_any_positive_real_budget():
+    for budget in (5, 0.5, Fraction(1, 2)):
+        assert SearchConfig(n=3, k=3, budget=budget).budget == budget
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(n=8, k=3)
