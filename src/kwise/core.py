@@ -258,10 +258,8 @@ def _fold_layers(layers: Tuple, g: int, n: int) -> Tuple:
     last = len(new) - 1
     if not new[last]:
         src = new[last - 1]
-        if type(src) is int:
-            new[last] = 1 if src & cube_bits(full_mask(n) ^ g) else 0
-        else:
-            new[last] = 1 if any(not t & g for t in src) else 0
+        hit = src & cube_bits(full_mask(n) ^ g) if type(src) is int else any(not t & g for t in src)
+        new[last] = 1 if hit else 0
     for j in range(last - 1, 0, -1):
         src, dst = new[j - 1], new[j]
         if type(dst) is tuple:
