@@ -8,9 +8,11 @@ record to the ledger (default stdout):
 
 params holds the command's parsed arguments, less the ledger-wide flags
 and the optionals left unset; a block is recorded as its element list
-and stats records its default pivot.  Identical (command, params, seed)
-runs produce identical result payloads once timing fields are set aside;
---no-timestamp drops those fields so reruns are byte-identical.
+and stats records its default pivot.  result holds only what the run
+found: stats and audit write every field of their library result.
+Identical (command, params, seed) runs produce identical result payloads
+once timing fields are set aside; --no-timestamp drops those fields so
+reruns are byte-identical.
 Families whose bitmaps exceed the inline limit are written to sidecar
 files and referenced by path plus content hash.  Exit codes: 0 success,
 1 domain error, 2 usage error.
@@ -58,15 +60,6 @@ def _encode(value: Any) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     raise TypeError(f"{type(value).__name__} has no ledger encoding")
-
-
-def _fields(report: Any, params: Dict[str, Any]) -> Dict[str, Any]:
-    """A result dataclass as a payload, less the fields params already records."""
-    return {
-        f.name: getattr(report, f.name)
-        for f in dataclasses.fields(report)
-        if f.name not in params
-    }
 
 
 def _parse_family(n: int, text: str) -> SetFamily:
@@ -124,7 +117,7 @@ def _cmd_construct(args, params: Dict[str, Any]) -> Dict[str, Any]:
         fam = series_of_cubes(Partition.contiguous(args.n, args.parts))
         params.pop("s", None)
     else:
-        s = _parse_elements(args.n, args.s) if args.s else balanced_block(args.n)
+        s = _parse_elements(args.n, args.s) if args.s is not None else balanced_block(args.n)
         fam = linked_cubes(args.n, s) if name == "linked-cubes" else pair_of_cubes(args.n, s)
         params["s"] = mask_elements(s)
         del params["parts"]
@@ -173,8 +166,7 @@ def _cmd_stats(args, params: Dict[str, Any]) -> Dict[str, Any]:
     x = _parse_family(args.n, args.family[0])
     y = _parse_family(args.n, args.family[1])
     params["elem"] = args.elem if args.elem is not None else args.n
-    stats = stability_stats(x, y, args.ell, params["elem"])
-    return _fields(stats, params)
+    return dataclasses.asdict(stability_stats(x, y, args.ell, params["elem"]))
 
 
 def _cmd_search_min(args, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -194,9 +186,8 @@ def _cmd_search_min(args, params: Dict[str, Any]) -> Dict[str, Any]:
 def _cmd_audit(args, params: Dict[str, Any]) -> Dict[str, Any]:
     fam = _parse_family(args.n, args.family)
     s = _parse_elements(args.n, args.s)
-    report = audit_claim_counts(fam, s, args.eps)
     params["s"] = mask_elements(s)
-    return _fields(report, params)
+    return dataclasses.asdict(audit_claim_counts(fam, s, args.eps))
 
 
 def _stable_payload(result: Dict[str, Any]) -> str:

@@ -304,6 +304,13 @@ class ReachState:
     and every question reads its intersection I (the full mask when s = 0),
     so the state keeps no layers below k; the k-th member folds all k.
 
+    For k > n, I decides at every size, and the state never keeps layers.
+    A family of at least k members is k-wise intersecting exactly when
+    I != {}: if I = {}, each element is missed by some member, and those
+    at most n < k members, padded with others, are k distinct members
+    with an empty intersection.  By the same argument a new member joining
+    at least k - 1 others is blocked exactly when it misses I.
+
     Both questions asked of a layer depend only on its up-closure: "is the
     empty set reachable" and "which masks miss some reachable t".  And if
     t' contains t then t' & g contains t & g, so a layer's non-minimal
@@ -346,8 +353,8 @@ class ReachState:
         self.k = k
         self.mode = mode
         self.size = 0
-        # from k members on, layers[j - 1] is R_j for j < k and layers[k - 1]
-        # is 1 when R_k holds the empty set, 0 when not
+        # from k members on, for k <= n, layers[j - 1] is R_j for j < k and
+        # layers[k - 1] is 1 when R_k holds the empty set, 0 when not
         self.layers: Tuple = ()
         self.common = full_mask(n)
         self.members = 0
@@ -362,7 +369,8 @@ class ReachState:
     def of(cls, family: SetFamily, k: int, mode: KwiseMode = KwiseMode.DISTINCT) -> "ReachState":
         """The state of a whole family, its members folded in ascending order.
 
-        Below k members it reads I off the bitmap without listing them.
+        Below k members, or for k > n, it reads I off the bitmap without
+        listing them.
         After the first k members, a family of at least
         n * 2^n / 2^_MINIMAL_PASS_SHIFT members skips, in n bitmap passes,
         each member one element larger than another member.  The state is
@@ -375,7 +383,7 @@ class ReachState:
         empty = cls(family.n, k, mode)
         n, bm = family.n, family.bitmap
         size = bm.bit_count()
-        if size < k:  # element i + 1 is common when no member avoids it
+        if size < k or k > n:  # element i + 1 is common when no member avoids it
             common = sum(1 << i for i in range(n) if not bm & bitops._clear_bit_pattern(n, i))
             return empty._after(size, (), common, bm)
         members, layers, common = iter_bits(bm), ((),) * (k - 1) + (0,), empty.common
@@ -390,14 +398,14 @@ class ReachState:
     def fold(self, g: int) -> "ReachState":
         """The state after adding member g, which must not be a member yet."""
         size, members = self.size + 1, self.members | 1 << g
-        if size == self.k:
+        if size == self.k <= self.n:
             return ReachState.of(SetFamily(self.n, members), self.k, self.mode)
-        layers = _fold_past_k(self.layers, g, self.n) if size > self.k else ()
+        layers = _fold_past_k(self.layers, g, self.n) if self.layers else ()
         return self._after(size, layers, self.common & g, members)
 
     def hits_empty(self) -> bool:
         """Whether some 2..k distinct members have an empty intersection,
-        read from I below k members and from the bit kept for R_k on."""
+        read from I without layers and from the bit kept for R_k with them."""
         if not self.layers:
             return self.size >= 2 and self.common == 0
         return self.layers[-1] == 1
@@ -409,12 +417,12 @@ class ReachState:
         return not self.hits_empty()
 
     def relevant(self) -> int | Tuple[int, ...]:
-        """The reachable masks that block a new member: R_(k-1) from k
-        members on; below k, (I,) if a new member completes k members or,
-        with repetition, joins any, and () otherwise."""
+        """The reachable masks that block a new member: R_(k-1) once there
+        are layers; without them, (I,) if a new member joins at least
+        k - 1 others or, with repetition, any, and () otherwise."""
         if self.layers:
             return self.layers[self.k - 2]
-        if self.size == self.k - 1 or (self.size and self.mode is KwiseMode.WITH_REPETITION):
+        if self.size >= self.k - 1 or (self.size and self.mode is KwiseMode.WITH_REPETITION):
             return (self.common,)
         return ()
 

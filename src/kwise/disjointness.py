@@ -126,8 +126,6 @@ def count_edges_touching(graph: DisjointnessGraph, elem: int) -> int:
 class StabilityStats:
     """Exact ratios describing how two families sit around a split."""
 
-    n: int
-    ell: int
     alpha: Fraction
     beta: Fraction
     x_ratios: Tuple[Fraction, ...]
@@ -177,8 +175,6 @@ def stability_stats(
     theta = Fraction((x_family.bitmap & cube_bits(threshold_x)).bit_count(), len(x_family))
     phi = Fraction((y_family.bitmap & cube_bits(threshold_y)).bit_count(), len(y_family))
     return StabilityStats(
-        n=n,
-        ell=ell,
         alpha=alpha,
         beta=beta,
         x_ratios=x_ratios,

@@ -62,7 +62,6 @@ from .core import (
 
 MAX_SEARCH_GROUND = 7
 MAX_ORACLE_GROUND = 5
-MAX_UPSET_GROUND = 5
 MAX_CANONICAL_GROUND = 10
 
 
@@ -105,8 +104,8 @@ def enumerate_upsets(n: int) -> List[int]:
     counts follow the Dedekind numbers and the listing is exact.
     """
     check_ground(n)
-    if n > MAX_UPSET_GROUND:
-        raise ValueError(f"up-set enumeration capped at n={MAX_UPSET_GROUND}, got {n}")
+    if n > MAX_ORACLE_GROUND:
+        raise ValueError(f"up-set enumeration capped at n={MAX_ORACLE_GROUND}, got {n}")
     ups = [0, 1]
     for level in range(1, n + 1):
         shift = 1 << (level - 1)
@@ -152,8 +151,8 @@ def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamil
     intersection; the rest are upward closed, so filtering the up-set
     listing completes the search.
     """
-    if n > MAX_UPSET_GROUND:
-        raise ValueError(f"exhaustive enumeration capped at n={MAX_UPSET_GROUND}, got {n}")
+    if n > MAX_ORACLE_GROUND:
+        raise ValueError(f"exhaustive enumeration capped at n={MAX_ORACLE_GROUND}, got {n}")
     _check_k(k)
     _check_mode(mode)
     results = [SetFamily(n, bm) for _, bm in _below_k_maximal(n, k, mode) if bm]
@@ -202,7 +201,6 @@ class SearchReport:
     short, so the witness list may miss classes.
     """
 
-    config: SearchConfig
     f_value: int
     witnesses: Tuple[SetFamily, ...]
     matched_linked_cubes: Tuple[bool, ...]
@@ -253,7 +251,6 @@ def search_min(config: SearchConfig) -> SearchReport:
         target = canonical_form(linked_cubes(n, balanced_block(n))).bitmap
         matched = tuple(w.bitmap == target for w in witnesses)
     return SearchReport(
-        config=config,
         f_value=floor,
         witnesses=witnesses,
         matched_linked_cubes=matched,
@@ -378,10 +375,7 @@ class ClaimCountsReport:
     sits within eps*2^ell of the cube pair).
     """
 
-    n: int
     ell: int
-    s: int
-    eps: Fraction
     family_size: int
     cube_pair_size: int
     g1_size: int
@@ -431,10 +425,7 @@ def audit_claim_counts(family: SetFamily, s: int, eps) -> ClaimCountsReport:
     )
     chain_lower = (1 << (2 * ell + 1)) - (3 * (1 << ell) - 1) - len(family)
     return ClaimCountsReport(
-        n=n,
         ell=ell,
-        s=s,
-        eps=eps,
         family_size=len(family),
         cube_pair_size=len(f0),
         g1_size=len(g1),

@@ -68,6 +68,22 @@ def test_construct_with_explicit_block_and_parts(capsys):
     assert rec["result"]["size"] == 10
 
 
+@pytest.mark.parametrize("construction", ["linked-cubes", "pair-of-cubes"])
+def test_construct_reads_an_empty_block_as_given(capsys, construction):
+    # an empty --s is the empty block however it is spelled, never the
+    # default balanced block
+    outcomes = []
+    for s in ("", " "):
+        argv = ("construct", construction, "--n", "4", "--s", s, "--no-timestamp")
+        code, out, err = run(capsys, *argv)
+        outcomes.append((code, json.loads(out)["params"] if code == 0 else err))
+    assert outcomes[0] == outcomes[1]
+    if construction == "pair-of-cubes":
+        assert outcomes[0][1]["s"] == []
+    else:  # linked cubes need a proper nonempty block
+        assert outcomes[0][0] == 1
+
+
 def test_timestamp_controls(capsys):
     args = ("construct", "linked-cubes", "--n", "5")
     stamped = run_record(capsys, *args)
@@ -746,3 +762,5 @@ def test_params_are_the_parsed_arguments(tmp_path, monkeypatch):
             series = argv[1] == "series-of-cubes"
             assert ("parts" in rec["params"]) == series
             assert ("s" in rec["params"]) != series
+        if argv[0] in ("stats", "audit"):  # a result repeats no argument
+            assert not rec["params"].keys() & rec["result"].keys()

@@ -30,6 +30,7 @@ from kwise import (
 )
 from kwise.bitops import down_close_bits, iter_bits, up_close_bits
 from kwise.core import ReachState
+from kwise.search import _naive_addable, _naive_is_kwise
 
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
@@ -421,3 +422,38 @@ def test_maximal_closure_rejects_non_kwise():
     fam = SetFamily.from_masks(2, [0b01, 0b10])
     with pytest.raises(ValueError):
         maximal_closure(fam, 2, DISTINCT)
+
+
+def k_above_n_families(rng):
+    """Every family at n <= 3, and at n = 4 seeded parts of stars (one
+    mask outside the star added to half) and random families."""
+    for n in range(1, 4):
+        for bm in range(1 << (1 << n)):
+            yield SetFamily(n, bm)
+    for _ in range(60):
+        elem = 1 << rng.randrange(4)
+        masks = rng.sample([m for m in range(16) if m & elem], rng.randint(0, 8))
+        if rng.random() < 0.5:
+            masks.append(rng.randrange(16))
+        yield SetFamily.from_masks(4, masks)
+        yield SetFamily(4, rng.getrandbits(16))
+
+
+def test_k_above_n_matches_naive():
+    # for k > n the engine decides every size by the common intersection I;
+    # the naive oracles enumerate the collections, up to k = 2^n + 2
+    verdicts = set()
+    for fam in k_above_n_families(random.Random(24)):
+        n, members = fam.n, fam.member_list()
+        for k, mode in itertools.product(range(n + 1, (1 << n) + 3), (DISTINCT, REPETITION)):
+            kwise = _naive_is_kwise(members, k, mode)
+            assert is_k_wise_intersecting(fam, k, mode) == kwise
+            if len(fam) >= k:
+                verdicts.add(kwise)
+            if not kwise:
+                continue
+            want = [g for g in range(1 << n) if _naive_addable(members, g, k, mode)]
+            assert addable_sets(fam, k, mode).member_list() == [g for g in want if g not in fam]
+            assert maximal_closure(fam, k, mode) == naive_ascending_closure(fam, k, mode)
+    # families of at least k members both with and without a common element
+    assert verdicts == {False, True}

@@ -129,6 +129,10 @@ def test_layers_nest_and_members_are_the_family(fam, k, mode, rng):
         for j in range(1, min(state.size, len(ups))):
             assert ups[j - 1] & ~ups[j] == 0
         if state.size >= k:
+            assert state.hits_empty() == bool(empty_in_last)
+            if k > fam.n:  # I decides, so no layers are built
+                assert state.layers == ()
+                continue
             assert state.layers[-1] == empty_in_last
             if ups and ups[-1] & 1:
                 assert state.layers[-1] == 1
@@ -311,10 +315,10 @@ def test_of_is_the_ascending_fold_past_the_last_layer(n, k, mode):
 @example(uniform(6, 5), 10**9, KwiseMode.WITH_REPETITION, random.Random(1))
 @settings(deadline=None, max_examples=200)
 def test_below_k_a_state_is_the_common_intersection(fam, k, mode, rng):
-    # below k members there are no layers, only the AND of the members;
-    # the k-th member builds all k layers
+    # below k members, and at every size for k > n, there are no layers,
+    # only the AND of the members; otherwise the k-th member builds all k
     def check(state, members):
-        if len(members) < k:
+        if len(members) < k or k > fam.n:
             common = (1 << fam.n) - 1
             for m in members:
                 common &= m
@@ -353,6 +357,19 @@ def test_a_huge_k_reads_a_small_family_off_its_common_intersection():
         start = time.perf_counter()
         check(fam, 10**9)
         assert time.perf_counter() - start < 0.5
+
+
+def test_k_above_n_reads_a_large_family_off_its_common_intersection():
+    # for k > n, I decides at every size: the 2048-member star at n = 12
+    # with k = 2000, and the closure of {full set} at n = 11 with k = 1000,
+    # which passes k members, fold no reach layers
+    start = time.perf_counter()
+    assert is_k_wise_intersecting(star(12), 2000)
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    closed = maximal_closure(SetFamily(11, 1 << 2047), 1000, KwiseMode.WITH_REPETITION)
+    assert closed == star(11)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -34,7 +34,7 @@ from kwise import (
     verify_maximal_generator_correspondence,
 )
 from kwise.bitops import cube_bits, full_mask, supercube_bits, up_close_bits
-from kwise.core import ReachState
+from kwise.core import ReachState, _exact_eps
 from kwise.search import (
     _below_k_maximal,
     _least_relabeling,
@@ -639,6 +639,9 @@ def test_audit_validation():
     for eps in (float("inf"), float("-inf"), "1/0", *huge_exponents):
         with pytest.raises(ValueError, match="eps"):
             audit_claim_counts(fam, 0b00011, eps)
-    assert audit_claim_counts(fam, 0b00011, "1e-999").eps == Fraction(1, 10**999)
+    # the audit accepts the string and reads it exactly
+    tiny = Fraction(1, 10**999)
+    assert _exact_eps("1e-999") == tiny
+    assert audit_claim_counts(fam, 0b00011, "1e-999") == audit_claim_counts(fam, 0b00011, tiny)
     with pytest.raises(ValueError):
         audit_claim_counts(SetFamily.from_masks(5, [0]), 0b00011, Fraction(1, 8))
