@@ -86,13 +86,20 @@ def down_close_bits(bm: int, n: int) -> int:
     return bm
 
 
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def reverse_index_bits(bm: int, n: int) -> int:
-    """Remap every index m to its complement mask (reverses the bitmap)."""
-    for i in range(n):
-        s = 1 << i
-        pat = _clear_bit_pattern(n, i)
-        bm = ((bm & pat) << s) | ((bm >> s) & pat)
-    return bm
+    """Remap every index m to its complement mask (reverses the bitmap).
+
+    Index m goes to 2^n - 1 - m, so the 2^n-bit string is reversed: its
+    little-endian bytes are bit-reversed through a table and read back
+    big-endian, three C-level passes.  Below n = 3 the bitmap is one byte,
+    and the reversed byte is shifted down to 2^n bits.
+    """
+    if n < 3:
+        return bm.to_bytes(1, "little").translate(_REVERSED_BYTES)[0] >> (8 - (1 << n))
+    return int.from_bytes(bm.to_bytes(1 << (n - 3), "little").translate(_REVERSED_BYTES), "big")
 
 
 def _minimal_candidates(bm: int, n: int) -> int:

@@ -64,7 +64,7 @@ def _encode(value: Any) -> str:
 
 def _parse_family(n: int, text: str) -> SetFamily:
     if text.startswith("@"):
-        text = Path(text[1:]).read_text().strip()
+        text = Path(text[1:]).read_text()
     return SetFamily.from_hex(n, text)
 
 
@@ -73,12 +73,14 @@ def _parse_elements(n: int, text: str) -> int:
     return mask_from_elements(elems, n)
 
 
-def _family_payload(family: SetFamily, sidecar_dir: Path) -> Any:
-    """Inline hex for small grounds, path plus sha256 sidecar for large ones."""
+def _family_payload(family: SetFamily, out: str | None) -> Any:
+    """Inline hex for small grounds, path plus sha256 sidecar for large ones,
+    written next to the ledger file out, or to the working directory."""
     text = family.to_hex()
     if (1 << family.n) <= INLINE_FAMILY_BITS:
         return text
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    sidecar_dir = Path(out).resolve().parent if out else Path.cwd()
     path = sidecar_dir / f"family_{digest[:16]}.hex"
     path.write_text(text + "\n", encoding="ascii")
     return {"path": str(path), "sha256": digest}
@@ -92,7 +94,7 @@ def _cmd_check(args, params: Dict[str, Any]) -> Dict[str, Any]:
     maximal = kwise and not addable
     witness = (addable & -addable).bit_length() - 1 if addable else None
     return {
-        "size": len(fam),
+        "size": state.size,
         "kwise": kwise,
         "maximal": maximal,
         "addable_witness": witness,
@@ -106,7 +108,7 @@ def _cmd_closure(args, params: Dict[str, Any]) -> Dict[str, Any]:
         "input_size": len(fam),
         "size": len(closed),
         "added": len(closed) - len(fam),
-        "family": _family_payload(closed, args.sidecar_dir),
+        "family": _family_payload(closed, args.out),
     }
 
 
@@ -121,7 +123,7 @@ def _cmd_construct(args, params: Dict[str, Any]) -> Dict[str, Any]:
         fam = linked_cubes(args.n, s) if name == "linked-cubes" else pair_of_cubes(args.n, s)
         params["s"] = mask_elements(s)
         del params["parts"]
-    return {"size": len(fam), "family": _family_payload(fam, args.sidecar_dir)}
+    return {"size": len(fam), "family": _family_payload(fam, args.out)}
 
 
 def _cmd_gen_coverage(args, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -397,7 +399,6 @@ def main(argv=None) -> int:
         for key, value in vars(args).items()
         if key not in ("command", "out", "seed", "no_timestamp") and value is not None
     }
-    args.sidecar_dir = Path(args.out).resolve().parent if args.out else Path.cwd()
     try:
         result = _HANDLERS[args.command](args, params)
         _emit_record(args, params, result)

@@ -27,6 +27,8 @@ import binascii
 import enum
 import itertools
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -90,12 +92,12 @@ class SetFamily:
     def from_hex(cls, n: int, text: str) -> "SetFamily":
         check_ground(n)
         digits = hex_digits(n)
-        text = text.strip().lower()
+        text = text.strip()
         if len(text) != digits:
             raise ValueError(
                 f"hex family for n={n} must have exactly {digits} hex digit(s), got {len(text)}"
             )
-        try:  # unhexlify reads digit pairs and nothing else: no sign, 0x or _
+        try:  # unhexlify reads digit pairs, in either case, and nothing else: no sign, 0x or _
             raw = binascii.unhexlify("0" * (digits % 2) + text)
         except ValueError:
             raise ValueError(f"hex family for n={n} may hold only the digits 0-9a-f") from None
@@ -199,13 +201,30 @@ def restrict_plus(family: SetFamily, i: int) -> SetFamily:
     return SetFamily(family.n, (family.bitmap >> (1 << (i - 1))) & pat)
 
 
-# A layer whose antichain grows wider than _SPARSE_LIMITS[n] turns into a
-# dense bitmap.  A sparse fold step costs about (source width) x (layer
-# width) Python-level mask operations, a dense one about n passes over the
-# 2^n-bit bitmap, so the crossover width grows like 2^(n/2).  Below the
-# floor either way takes well under a millisecond per check.  Chosen from
-# timings with the limit pinned, on linked cubes and on random families
-# of large subsets at n = 8..22 (BENCH_2.json).
+# R_1 turns into a dense bitmap once its antichain is wider than
+# _SPARSE_LIMITS[n], and a deeper layer once its width times the width of
+# its source layer exceeds _SPARSE_LIMITS[n]**2.  A sparse fold step costs
+# about (source width) x (layer width) mask tests, packed on wide layers,
+# a dense one about n passes over the 2^n-bit bitmap, so the crossover
+# grows like 2^(n/2).  Below the floor either way takes well under a
+# millisecond per check.  Re-timed with the packed tests: ReachState.of
+# plus addable() at k = 3, R_1 sparse and R_2 forced either way, medians
+# in ms, alternated in one process (BENCH_25.json):
+#
+#   family          n   R_1 x R_2   limit^2   sparse   dense   rule
+#   linked cubes   12    12 x  38       256     0.22    0.17   dense
+#   linked cubes   16    16 x  66      1024     0.51    0.55   dense
+#   linked cubes   17    17 x  74      1024     0.86    0.93   dense
+#   linked cubes   18    18 x  83      4096     1.36    1.65   sparse
+#   linked cubes   20    20 x 102     16384     6.07    7.66   sparse
+#   linked cubes   22    22 x 123     65536    19.35   34.73   sparse
+#   co-singletons  12    12 x  66       256     0.30    0.20   dense
+#   co-singletons  16    16 x 120      1024     0.63    0.46   dense
+#   co-singletons  17    17 x 136      1024     0.86    0.77   dense
+#   co-singletons  18    18 x 153      4096     1.19    1.30   sparse
+#   co-singletons  22    22 x 231     65536    11.82   28.69   sparse
+#
+# The linked cubes at n = 16 and 17 lie at the crossover and stay dense.
 _SPARSE_FLOOR = 16
 _SPARSE_LIMITS = tuple(
     max(_SPARSE_FLOOR, (1 << (n // 2)) >> 3) for n in range(MAX_FAMILY_GROUND + 1)
@@ -224,6 +243,30 @@ _SPARSE_LIMITS = tuple(
 _MINIMAL_PASS_SHIFT = 14
 
 
+# A sparse layer of at least _PACK_MIN masks is tested packed, one mask per
+# _FIELD_BITS-bit field of an int.  Masks have at most 26 bits, so the top
+# bit of each field is clear; with a 1 there in every field (the guard),
+# guard - fields keeps a field's guard bit exactly when the field is 0,
+# and no borrow crosses a field.  So "some element lies inside x" or
+# "some element misses g" is one multiply, one AND and one guard-bit
+# subtraction over all fields, not a Python loop.  Narrower layers are
+# scanned: packing them costs more than it saves (closure-grow's layers).
+_PACK_MIN = 16
+_FIELD_BITS = 32
+_GUARD_BIT = _FIELD_BITS - 1
+_PACK_TYPECODE = next(code for code in "IL" if array(code).itemsize == _FIELD_BITS // 8)
+
+
+def _pack(masks) -> Tuple[int, int]:
+    """The masks one per field of an int, masks[i] in field i, and the int
+    with 1 in each field."""
+    fields = array(_PACK_TYPECODE, masks)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    ones = int.from_bytes(b"\1\0\0\0" * len(masks), "little")
+    return int.from_bytes(fields.tobytes(), "little"), ones
+
+
 def _bitmap_of(masks: Iterable[int], n: int) -> int:
     """Family bitmap of the given masks, built in one pass over its bytes."""
     buf = bytearray(((1 << n) + 7) >> 3)
@@ -235,14 +278,62 @@ def _bitmap_of(masks: Iterable[int], n: int) -> int:
 def _merge_minimal(layer: Tuple[int, ...], masks: Iterable[int]) -> Tuple[int, ...]:
     """Minimal elements of an antichain together with more masks.
 
-    Returns the input tuple itself when no mask is new and minimal.
+    Returns the input tuple itself when no mask is new and minimal.  A
+    layer of at least _PACK_MIN masks is tested packed (see _pack), out[i]
+    in field i: with xs = x * ones, the fields of packed & xs equal those
+    of packed where an element lies inside x, and equal xs where an
+    element contains x, which x evicts.  An evicted element leaves a hole
+    in out but stays in packed: a kept element lies inside it, so it never
+    decides the first test, and the second only evicts it again.
     """
-    out = layer
+    if len(layer) < _PACK_MIN:
+        out = layer
+        for x in masks:
+            for a in out:
+                if a & x == a:
+                    break
+            else:  # x is minimal: it evicts the elements containing it
+                for a in out:
+                    if a & x == x:
+                        out = tuple([a for a in out if a & x != x])
+                        break
+                out += (x,)
+        return out
+    out, evicted = list(layer), False
+    packed, ones = _pack(out)
+    guard = ones << _GUARD_BIT
+    top = 1 << _FIELD_BITS * len(out)
     for x in masks:
-        if any(a & x == a for a in out):
+        xs = x * ones
+        meet = packed & xs
+        if (guard - (meet ^ packed)) & guard:
             continue
-        out = tuple([a for a in out if a & x != x] + [x])
-    return out
+        above = (guard - (meet ^ xs)) & guard
+        while above:  # the guard bit of field i is bit 32 i + 31
+            low = above & -above
+            out[low.bit_length() // _FIELD_BITS - 1] = None
+            above ^= low
+            evicted = True
+        out.append(x)
+        packed |= x * top
+        ones |= top
+        guard |= top << _GUARD_BIT
+        top <<= _FIELD_BITS
+    if len(out) == len(layer):
+        return layer
+    return tuple([a for a in out if a is not None] if evicted else out)
+
+
+def _misses_some(layer: Tuple[int, ...], g: int) -> bool:
+    """Whether g misses some element of a sparse layer."""
+    if len(layer) < _PACK_MIN:
+        for t in layer:
+            if not t & g:
+                return True
+        return False
+    packed, ones = _pack(layer)
+    guard = ones << _GUARD_BIT
+    return bool((guard - (packed & g * ones)) & guard)
 
 
 def _fold_layers(layers: Tuple, g: int, n: int) -> Tuple:
@@ -251,14 +342,15 @@ def _fold_layers(layers: Tuple, g: int, n: int) -> Tuple:
     members start from ((),) * (k - 1) + (0,).
 
     R_k gains the empty set when g misses some t in R_(k-1); against a
-    dense R_(k-1) that is one AND with the cube of g's complement.
+    dense R_(k-1) that is one AND with the cube of g's complement, against
+    a wide sparse one one packed test.
     Unchanged layers are returned as the same objects.
     """
     new = list(layers)
     last = len(new) - 1
     if not new[last]:
         src = new[last - 1]
-        hit = src & cube_bits(full_mask(n) ^ g) if type(src) is int else any(not t & g for t in src)
+        hit = src & cube_bits(full_mask(n) ^ g) if type(src) is int else _misses_some(src, g)
         new[last] = 1 if hit else 0
     for j in range(last - 1, 0, -1):
         src, dst = new[j - 1], new[j]
@@ -274,7 +366,7 @@ def _fold_layers(layers: Tuple, g: int, n: int) -> Tuple:
     new[0] = new[0] | 1 << g if type(new[0]) is int else _merge_minimal(new[0], (g,))
     limit = _SPARSE_LIMITS[n]
     for j, layer in enumerate(new):
-        if type(layer) is tuple and len(layer) > limit:
+        if type(layer) is tuple and len(layer) * (len(new[j - 1]) if j else limit) > limit * limit:
             # dense layers form a suffix: a dense layer only feeds dense ones
             new[j:] = [_bitmap_of(t, n) if type(t) is tuple else t for t in new[j:]]
             break
@@ -285,8 +377,13 @@ def _fold_past_k(layers: Tuple, g: int, n: int) -> Tuple:
     """_fold_layers past k members, where a member g containing one in R_1
     changes nothing (see ReachState)."""
     first = layers[0]
-    if first & cube_bits(g) if type(first) is int else any(a & g == a for a in first):
-        return layers
+    if type(first) is int:
+        if first & cube_bits(g):
+            return layers
+    else:
+        for a in first:
+            if a & g == a:
+                return layers
     return _fold_layers(layers, g, n)
 
 
@@ -316,8 +413,10 @@ class ReachState:
     t' contains t then t' & g contains t & g, so a layer's non-minimal
     elements never matter for later layers either.  Each layer therefore
     keeps only its minimal elements, as a tuple, until the antichain grows
-    wider than _SPARSE_LIMITS[n]; from then on it is a dense 2^n-bit bitmap
-    of (a superset of the minimal elements of) R_j.  Dense layers form a
+    too wide for its sparse fold (R_1 wider than _SPARSE_LIMITS[n], a
+    deeper layer once its width times its source layer's exceeds the
+    square of that); from then on it is a dense 2^n-bit bitmap of (a
+    superset of the minimal elements of) R_j.  Dense layers form a
     suffix, because a dense layer only feeds dense layers.  Once the family
     has at least k members, a new member containing an earlier one changes
     no up-closure (any collection through it is dominated by the same
@@ -390,7 +489,7 @@ class ReachState:
         for g in itertools.islice(members, k):
             layers, common = _fold_layers(layers, g, n), common & g
         if size << _MINIMAL_PASS_SHIFT >= n << n:
-            members = iter_bits(bitops._minimal_candidates(bm, n) >> (g + 1) << (g + 1))
+            members = itertools.dropwhile(g.__ge__, iter_bits(bitops._minimal_candidates(bm, n)))
         for g in members:
             layers, common = _fold_past_k(layers, g, n), common & g
         return empty._after(size, layers, common, bm)
@@ -443,7 +542,7 @@ class ReachState:
 
     def addable(self) -> int:
         """Non-members that are not blocked."""
-        return ~self.blocked() & ~self.members & family_full_bitmap(self.n)
+        return family_full_bitmap(self.n) ^ (self.blocked() | self.members)
 
     def maximal(self) -> bool:
         """Whether the family is k-wise intersecting and nothing is addable."""

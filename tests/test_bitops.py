@@ -256,6 +256,16 @@ def test_reverse_index_is_complement_map(nb):
     assert reverse_index_bits(reverse_index_bits(bm, n), n) == bm
 
 
+@given(family_bitmaps(max_n=10))
+@settings(deadline=None)
+def test_reverse_index_reverses_the_bitmap_up_to_n10(nb):
+    # one byte below n = 3, 2^(n-3) whole bytes from there on
+    n, bm = nb
+    expected = bitmap_of(full_mask(n) ^ m for m in members_of(bm))
+    assert reverse_index_bits(bm, n) == expected
+    assert expected == int(format(bm, f"0{1 << n}b")[::-1], 2)
+
+
 @given(family_bitmaps(), st.integers(min_value=0, max_value=15))
 @settings(deadline=None)
 def test_project_intersect_matches_bruteforce(nb, keep):

@@ -11,7 +11,9 @@ full.  ReachState.of, which skips non-minimal members of large families,
 is also compared layer for layer with a plain fold of every member.
 """
 
+import functools
 import itertools
+import operator
 import random
 import time
 
@@ -87,6 +89,47 @@ def small_families(draw):
     return SetFamily.from_masks(n, masks)
 
 
+def minimal_scan(layer, masks):
+    """Reference antichain fold, one mask at a time: a mask joins unless
+    some element lies inside it, and evicts the elements containing it."""
+    out = list(layer)
+    for x in masks:
+        if all(a & x != a for a in out):
+            out = [a for a in out if a & x != x] + [x]
+    return tuple(out)
+
+
+@given(st.data(), st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=100)
+def test_merge_minimal_matches_a_scan(data, rng):
+    # random 26-bit masks are mostly incomparable, so layers run wide and
+    # take the packed tests; the masks merged in are new, duplicates,
+    # supersets of an element, or inside several elements, which evicts
+    # them, and then supersets and submasks of masks merged before them
+    size = data.draw(st.sampled_from(range(201)))
+    layer = minimal_scan((), [rng.getrandbits(26) for _ in range(size)])
+    mask_26 = st.builds(rng.getrandbits, st.just(26))
+    element = st.sampled_from(layer) if layer else mask_26
+    masks = data.draw(st.lists(st.one_of(
+        mask_26,
+        element,
+        st.tuples(element, mask_26).map(lambda pair: pair[0] | pair[1]),
+        st.lists(element, min_size=2, max_size=4).map(lambda xs: functools.reduce(operator.and_, xs)),
+    ), max_size=200 - size))
+    for i in data.draw(st.lists(st.integers(0, len(masks) - 1), max_size=20) if masks else st.just([])):
+        r = rng.getrandbits(26)
+        masks.append(masks[i] | r if data.draw(st.booleans()) else masks[i] & r)
+    if data.draw(st.integers(0, 3)) == 0:
+        masks.insert(data.draw(st.integers(0, len(masks))), 0)
+    got = core._merge_minimal(layer, masks)
+    assert got == minimal_scan(layer, masks)
+    union = set(layer) | set(masks)
+    assert set(got) == {x for x in union if not any(a != x and a & x == a for a in union)}
+    # nothing new and minimal: the same tuple object comes back
+    same = list(got) + [a | m for a in got for m in masks[:2]]
+    assert core._merge_minimal(got, same) is got
+
+
 @given(small_families(), st.sampled_from([2, 3, 4, 10**9]), st.sampled_from(MODES))
 @settings(deadline=None, max_examples=300)
 def test_state_matches_oracles(fam, k, mode):
@@ -157,14 +200,15 @@ def test_edge_cases(k, mode):
 @pytest.mark.parametrize("k", [3, 4])
 def test_wide_uniform_families_go_dense(k, mode):
     # subsets of size > 2n/3: any three of them meet, and their pairwise
-    # intersections, the 21 5-sets, form an antichain wider than the sparse
-    # limit, so R_2 goes dense (R_k is kept as one bit)
-    fam = uniform(7, 6)
+    # intersections, the 36 7-sets, form an antichain whose width times the
+    # 9 members of R_1 exceeds the square of the sparse limit, so R_2 goes
+    # dense (R_k is kept as one bit)
+    fam = uniform(9, 8)
     state = ReachState.of(fam, k, mode)
     assert any(dense_layers(state))
     assert_matches_oracles(fam, k, mode, state)
     # folded in descending mask order it goes dense the same way
-    state = ReachState(7, k, mode)
+    state = ReachState(9, k, mode)
     for g in reversed(fam.member_list()):
         state = state.fold(g)
     assert any(dense_layers(state))
@@ -172,7 +216,7 @@ def test_wide_uniform_families_go_dense(k, mode):
 
 
 def test_dense_layers_form_a_suffix():
-    for n, r in ((7, 6), (12, 9), (14, 10)):
+    for n, r in ((9, 8), (12, 9), (14, 10)):
         flags = dense_layers(ReachState.of(uniform(n, r), 3))
         assert any(flags)
         assert flags == sorted(flags)
@@ -195,6 +239,62 @@ def test_linked_cubes_maximal_at_n24():
     state = ReachState.of(fam, 3)
     assert not any(dense_layers(state))
     assert state.intersecting() and state.addable() == 0
+
+
+@pytest.mark.parametrize("n", [18, 19, 20])
+def test_balanced_linked_cubes_keep_r2_sparse(n):
+    # R_2 is 83, 92 and 102 masks wide against R_1's n: its width times
+    # R_1's stays below the squared sparse limit, so R_2 is folded and
+    # tested packed rather than as a dense bitmap
+    fam = linked_cubes(n, balanced_block(n))
+    for mode in MODES:
+        state = ReachState.of(fam, 3, mode)
+        assert dense_layers(state) == [False, False]
+        assert len(state.layers[1]) >= core._PACK_MIN
+        assert state.intersecting() and state.addable() == 0
+
+
+def co_singletons(n):
+    full = (1 << n) - 1
+    return [full ^ (1 << i) for i in range(n)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_packed_layers_match_oracles(n, k, mode, monkeypatch):
+    # R_2 of the n co-singletons is the C(n, 2) (n-2)-sets, so it passes
+    # the packing width before it is complete.  Large random masks, which
+    # few co-singletons contain, give it shapes of its own; small ones,
+    # folded late in the shuffled order, miss some t in a wide R_(k-1).
+    # ReachState.of and the shuffled fold go through the packed
+    # _merge_minimal and R_k test
+    packs = []
+    pack = core._pack
+    monkeypatch.setattr(core, "_pack", lambda masks: packs.append(len(masks)) or pack(masks))
+    rng = random.Random(n * 100 + k * 10 + (mode is KwiseMode.DISTINCT))
+    for _ in range(10):
+        extra = [
+            rng.getrandbits(n) | rng.getrandbits(n) | rng.getrandbits(n) if rng.random() < 0.7
+            else rng.getrandbits(n) & rng.getrandbits(n)
+            for _ in range(rng.randint(0, 4))
+        ]
+        fam = SetFamily.from_masks(n, set(co_singletons(n)) | set(extra))
+        members = fam.member_list()
+        kwise = _naive_is_kwise(members, k, mode)
+        want = sum(
+            1 << g for g in range(1 << n)
+            if kwise and g not in fam and _naive_addable(members, g, k, mode)
+        )
+        rng.shuffle(members)
+        folded = ReachState(n, k, mode)
+        for g in members:
+            folded = folded.fold(g)
+        for state in (ReachState.of(fam, k, mode), folded):
+            assert state.intersecting() == kwise
+            if kwise:
+                assert state.addable() == want
+    assert packs
 
 
 def test_fold_leaves_the_old_state_unchanged():
