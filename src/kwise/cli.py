@@ -47,7 +47,7 @@ from .constructions import (
 from .core import KwiseMode, ReachState, SetFamily, _check_k, maximal_closure
 from .disjointness import build_bipartite, build_graph, count_edges_touching, stability_stats
 from .generator import coverage
-from .search import MAX_SEARCH_GROUND, SearchConfig, audit_claim_counts, search_min
+from .search import MAX_SEARCH_GROUND, SearchConfig, audit_claim_counts, canonical_form, search_min
 
 SCHEMA_VERSION = 3
 INLINE_FAMILY_BITS = 1 << 20
@@ -220,6 +220,27 @@ def _size_or_blank(size, *args: int) -> Any:
         return ""
 
 
+def _witness_fault(n: int, k: int, mode: KwiseMode, result: Dict[str, Any]) -> str | None:
+    """Why a search-min result's witnesses cannot be what the search
+    wrote, or None when each is an inline family of f members, maximal
+    and its own canonical form."""
+    witnesses = result["witnesses"]
+    if not isinstance(witnesses, list):
+        return "witnesses are not a list"
+    for text in witnesses:
+        try:
+            fam = SetFamily.from_hex(n, text)
+        except (AttributeError, ValueError):  # a witness that is no string has no strip
+            return f"witness {text!r} does not parse"
+        if fam.size != result["f"]:
+            return f"witness {text!r} does not have f members"
+        if not ReachState.of(fam, k, mode).maximal():
+            return f"witness {text!r} is not maximal"
+        if canonical_form(fam) != fam:
+            return f"witness {text!r} is not a canonical form"
+    return None
+
+
 def _write_table(path: Path, header, rows: Dict[Any, list]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -257,6 +278,9 @@ def _cmd_report(args, params: Dict[str, Any]) -> Dict[str, Any]:
         except ValueError:
             continue
         if command == "search-min" and n <= MAX_SEARCH_GROUND and result.get("f") is not None:
+            fault = "witnesses" in result and _witness_fault(n, k, KwiseMode(mode), result)
+            if fault:
+                raise ValueError(f"ledger integrity violation for {command}: {fault}")
             sizes = [(linked_cubes_size, n // 2), (series_of_cubes_size, k - 1), (janzer_size, k)]
             row = [result["f"], *(_size_or_blank(size, n, j) for size, j in sizes)]
         elif command == "check" and n >= 2 and isinstance(family, str):

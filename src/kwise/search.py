@@ -40,6 +40,7 @@ from functools import reduce
 from typing import Iterator, List, Set, Tuple
 
 from .bitops import (
+    _min_relabeling,
     _relabelings,
     check_ground,
     check_mask,
@@ -69,16 +70,17 @@ def canonical_form(family: SetFamily) -> SetFamily:
     """Least relabeling of the family over all coordinate permutations.
 
     Relabeled copies of a family share one canonical form, so equality of
-    canonical forms decides isomorphism.  The form is the least bitmap of
-    the swap walk `bitops._relabelings`, which meets every relabeling and
-    skips only arrangements of twin coordinates, whose exchange fixes the
-    family.  A family with at most one twin pair is walked over all n!
-    permutations, so the scan is factorial in n and capped accordingly.
+    canonical forms decides isomorphism.  The form is found by the branch
+    and bound of `bitops._min_relabeling`, which fixes coordinates from
+    the top and prunes every branch whose popcount bound cannot beat the
+    least bitmap found so far.  Symmetric families without twins can
+    still defeat the bound, so the worst case is factorial in n and the
+    ground set is capped accordingly.
     """
     n = family.n
     if n > MAX_CANONICAL_GROUND:
         raise ValueError(f"canonical form capped at n={MAX_CANONICAL_GROUND}, got {n}")
-    return SetFamily(n, min(_relabelings(family.bitmap, n)))
+    return SetFamily(n, _min_relabeling(family.bitmap, n))
 
 
 def _least_relabeling(n: int, bitmap: int, seen: Set[int]) -> int:

@@ -546,6 +546,45 @@ def test_report_survives_json_values_where_scalars_belong(
     assert (result["f_rows"], result["maximality_rows"]) == (f_rows, maximality_rows)
 
 
+@pytest.mark.parametrize(
+    "witness, fault",
+    [
+        ("00g3", "does not parse"),
+        ("003", "does not parse"),
+        (3, "does not parse"),
+        ("000b", "does not have f members"),
+        ("000a", "is not maximal"),
+        ("0005", "is not a canonical form"),
+    ],
+    ids=["bad-digit", "short", "number", "three-members", "not-maximal", "not-canonical"],
+)
+def test_report_checks_search_witnesses(tmp_path, capsys, witness, fault):
+    """A witness of a search-min record must parse, have f members, be
+    maximal and be its own canonical form, or the ledger is refused."""
+    ledger = tmp_path / "runs.jsonl"
+    build_ledger(ledger, capsys, [("search-min", "--n", "4", "--k", "3")])
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 0, err
+    rec = json.loads(ledger.read_text())
+    assert "0003" in rec["result"]["witnesses"]
+    rec["result"]["witnesses"] = ["0003", witness]
+    ledger.write_text(json.dumps(rec) + "\n")
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 1
+    assert f"ledger integrity violation for search-min: witness {witness!r}" in err
+    assert fault in err
+    assert out == ""
+
+
+def test_report_refuses_witnesses_that_are_not_a_list(tmp_path, capsys):
+    ledger = tmp_path / "runs.jsonl"
+    record = {"command": "search-min", "params": SEARCH_PARAMS, "result": {"f": 2, "witnesses": "0003"}}
+    ledger.write_text(json.dumps(record) + "\n")
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 1
+    assert "ledger integrity violation for search-min: witnesses are not a list" in err
+
+
 def test_report_ignores_volatile_divergence(tmp_path, capsys):
     ledger = tmp_path / "ok.jsonl"
     base = {

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -33,7 +34,15 @@ from kwise import (
     search_min,
     verify_maximal_generator_correspondence,
 )
-from kwise.bitops import cube_bits, full_mask, supercube_bits, up_close_bits
+from kwise.bitops import (
+    _heap_walk,
+    _relabeling_bound,
+    _swaps_and_twins,
+    cube_bits,
+    full_mask,
+    supercube_bits,
+    up_close_bits,
+)
 from kwise.core import ReachState, _exact_eps
 from kwise.search import (
     _below_k_maximal,
@@ -227,6 +236,96 @@ def test_canonical_form_of_twin_heavy_families(fam):
 def test_canonical_form_of_symmetric_families(fam):
     """Many relabelings of these families tie; the least is still the brute-force one."""
     assert canonical_form(fam) == brute_canonical(fam)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=16))
+    )
+)
+@settings(deadline=None, max_examples=40)
+def test_bounded_search_is_least_relabeling_up_to_n6(case):
+    n, masks = case
+    fam = SetFamily.from_masks(n, masks)
+    assert canonical_form(fam) == brute_canonical(fam)
+
+
+@given(
+    st.integers(7, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    )
+)
+@settings(deadline=None, max_examples=20)
+def test_bounded_search_matches_the_walk_at_n7_and_n8(case):
+    n, masks = case
+    fam = SetFamily.from_masks(n, masks)
+    assert canonical_form(fam).bitmap == min(_relabelings(fam.bitmap, n))
+
+
+def graph_family(n, edges):
+    """The edges of a graph on n vertices as a family of 2-sets."""
+    return SetFamily.from_masks(n, [1 << a | 1 << b for a, b in edges])
+
+
+FANO_LINES = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+CUBE_EDGES = [(a, a ^ 1 << i) for a in range(8) for i in range(3) if not a >> i & 1]
+PETERSEN_EDGES = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [SetFamily.from_masks(7, [sum(1 << i for i in line) for line in FANO_LINES])]
+    + [graph_family(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(5, 9)]
+    + [graph_family(8, CUBE_EDGES)],
+    ids=["fano", "c5", "c6", "c7", "c8", "cube-edges"],
+)
+def test_bounded_search_on_twin_free_symmetric_families(fam):
+    """Many relabelings tie and no twins cut the tree; the least is still the walk's."""
+    assert twin_class_sizes(fam) == [1] * fam.n
+    assert canonical_form(fam).bitmap == min(_relabelings(fam.bitmap, fam.n))
+
+
+def test_canonical_form_of_the_petersen_graph_is_quick():
+    """The walk takes about 1.8 s over the 10! relabelings; the bound
+    leaves fewer than a thousand nodes of 4 free coordinates to walk."""
+    fam = graph_family(10, PETERSEN_EDGES)
+    perm = tuple(random.Random(10).sample(range(10), 10))
+    start = time.perf_counter()
+    form = canonical_form(fam)
+    assert time.perf_counter() - start < 1.0
+    assert canonical_form(relabel(fam, perm)) == form
+    assert len(form) == 15
+
+
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, n),
+            st.integers(0, (1 << (1 << n)) - 1),
+            st.integers(0, (1 << (1 << n)) - 1),
+        )
+    )
+)
+@settings(deadline=None, max_examples=80)
+def test_relabeling_bound_is_sound(case):
+    """The bound is at most every arrangement of the low m coordinates,
+    and is the bitmap itself at m = 0.  Stopped early against best, it is
+    still a bound and still falls on the same side of best."""
+    n, m, bm, best = case
+    swaps, _ = _swaps_and_twins(bm, n)
+    least = min(_heap_walk(bm, m, swaps))
+    bound = _relabeling_bound(bm, n, m)
+    assert bound <= least
+    assert m > 0 or bound == bm
+    for against in (best, bound, bound + 1, max(bound - 1, 0), least):
+        early = _relabeling_bound(bm, n, m, against)
+        assert early <= bound
+        assert (early >= against) == (bound >= against)
 
 
 def strike_off(n, found):
