@@ -7,7 +7,6 @@ a member).  Everything here is a pure function on ints.
 """
 
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -168,36 +167,6 @@ def _place_class(bm: int, free: List[int], c: int, swaps: List) -> Tuple[int, Li
     return bm ^ moved ^ (moved << shift), rest
 
 
-def _relabelings(bitmap: int, n: int) -> Iterator[int]:
-    """Every relabeling of a family bitmap under permutations of its
-    coordinates, each at least once, for the witness strike-off, which
-    needs them all; the least one alone is `_min_relabeling`'s.
-
-    Twins are interchangeable, so a relabeling depends only on which twin
-    class sits at each position.  With at most one twin pair this is
-    Heap's walk over all n! permutations.  Otherwise positions are filled
-    from the top, one branch per twin class among the free positions,
-    until the free positions hold at most one twin pair, and Heap's walk
-    finishes each branch.  That yields at most 2 n! / (t_1! t_2! ...)
-    bitmaps for twin classes of sizes t_1, t_2, ...
-    """
-    swaps, classes = _swaps_and_twins(bitmap, n)
-    # one block per arrangement of twin classes on the fixed top positions;
-    # Heap's walk covers the free positions below, at most one twin pair
-    blocks = []
-    stack = [(bitmap, classes)]
-    while stack:
-        bm, free = stack.pop()
-        kinds = set(free)
-        if len(free) - len(kinds) <= 1:
-            blocks.append((bm, len(free)))
-            continue
-        stack.extend(_place_class(bm, free, c, swaps) for c in kinds)
-    if len(blocks) == 1:
-        return _heap_walk(*blocks[0], swaps)
-    return chain.from_iterable(_heap_walk(bm, m, swaps) for bm, m in blocks)
-
-
 @lru_cache(maxsize=32)
 def _level_tables(m: int) -> Tuple[Tuple[int, List[int]], ...]:
     """For each popcount r of an m-bit index: the bitmap of the indices of
@@ -254,10 +223,11 @@ TAIL = 4
 def _min_relabeling(bitmap: int, n: int) -> int:
     """The least bitmap among the relabelings of a family bitmap.
 
-    A depth-first branch and bound over the tree of `_relabelings`: a
-    node fixes the twin classes on the top positions and leaves the m
-    below free, and a child is dropped, or a node skipped when popped,
-    once `_relabeling_bound` shows that no arrangement of its free
+    Twins are interchangeable, so a relabeling depends only on which twin
+    class sits at each position.  A depth-first branch and bound fills
+    positions from the top, one child per twin class, placed with one
+    delta swap; a child is dropped, or a node skipped when popped, once
+    `_relabeling_bound` shows that no arrangement of its m free
     coordinates beats the least bitmap found so far.  Children are
     explored least bound first.  A node with at most TAIL free
     coordinates branches on twin classes, unbounded, until those hold at
@@ -286,6 +256,18 @@ def _min_relabeling(bitmap: int, n: int) -> int:
                     children[child] = (low, child, rest)
         stack.extend(sorted(children.values(), key=itemgetter(0), reverse=True))
     return best
+
+
+def _is_min_relabeling(bitmap: int, n: int) -> bool:
+    """Whether a family bitmap is the least of its relabelings.  An exchange
+    of adjacent coordinates is itself one, and lowers the bitmap when the
+    members it moves down outweigh those it moves up; a bitmap that none of
+    the n - 1 exchanges lowers takes the branch and bound."""
+    for row in _swap_table(n)[1:]:
+        shift, pat = row[-1]  # row b ends with the exchange of b - 1 and b
+        if (bitmap >> shift) & pat > bitmap & pat:
+            return False
+    return _min_relabeling(bitmap, n) == bitmap
 
 
 def _heap_walk(bitmap: int, m: int, swaps: List) -> Iterator[int]:

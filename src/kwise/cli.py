@@ -33,7 +33,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, Tuple
 
-from .bitops import check_ground, family_full_bitmap, iter_bits, mask_elements, mask_from_elements
+from .bitops import (
+    _is_min_relabeling,
+    check_ground,
+    family_full_bitmap,
+    iter_bits,
+    mask_elements,
+    mask_from_elements,
+)
 from .constructions import (
     Partition,
     balanced_block,
@@ -47,7 +54,7 @@ from .constructions import (
 from .core import KwiseMode, ReachState, SetFamily, _check_k, maximal_closure
 from .disjointness import build_bipartite, build_graph, count_edges_touching, stability_stats
 from .generator import coverage
-from .search import MAX_SEARCH_GROUND, SearchConfig, audit_claim_counts, canonical_form, search_min
+from .search import MAX_SEARCH_GROUND, SearchConfig, audit_claim_counts, search_min
 
 SCHEMA_VERSION = 3
 INLINE_FAMILY_BITS = 1 << 20
@@ -236,7 +243,7 @@ def _witness_fault(n: int, k: int, mode: KwiseMode, result: Dict[str, Any]) -> s
             return f"witness {text!r} does not have f members"
         if not ReachState.of(fam, k, mode).maximal():
             return f"witness {text!r} is not maximal"
-        if canonical_form(fam) != fam:
+        if not _is_min_relabeling(fam.bitmap, n):
             return f"witness {text!r} is not a canonical form"
     return None
 

@@ -37,11 +37,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Tuple
 
 from .bitops import (
+    _is_min_relabeling,
     _min_relabeling,
-    _relabelings,
     check_ground,
     check_mask,
     cube_bits,
@@ -81,21 +81,6 @@ def canonical_form(family: SetFamily) -> SetFamily:
     if n > MAX_CANONICAL_GROUND:
         raise ValueError(f"canonical form capped at n={MAX_CANONICAL_GROUND}, got {n}")
     return SetFamily(n, _min_relabeling(family.bitmap, n))
-
-
-def _least_relabeling(n: int, bitmap: int, seen: Set[int]) -> int:
-    """Least bitmap among the relabelings of a family bitmap, for the
-    witness strike-off of search_min.
-
-    The walk meets every relabeling, so every one is added to seen and a
-    caller meeting many labeled copies of a few classes scans each class
-    once.  Below-k witnesses have few members and so many twin
-    coordinates, which the walk arranges once per twin class instead of
-    n! times.
-    """
-    copies = set(_relabelings(bitmap, n))
-    seen |= copies
-    return min(copies)
 
 
 def enumerate_upsets(n: int) -> List[int]:
@@ -200,7 +185,7 @@ class SearchReport:
     canonical forms, pairwise non-isomorphic, sorted by bitmap;
     matched_linked_cubes aligns with them and flags isomorphism to the
     balanced linked-cubes family.  When optimal is False the scan was cut
-    short, so the witness list may miss classes.
+    short before the least labeled copy of some classes, which it misses.
     """
 
     f_value: int
@@ -211,10 +196,6 @@ class SearchReport:
     optimal: bool
     lower_bound: int
 
-    @property
-    def all_witnesses_linked_cubes(self) -> bool:
-        return bool(self.witnesses) and all(self.matched_linked_cubes)
-
 
 def search_min(config: SearchConfig) -> SearchReport:
     """Exact minimum size of a maximal k-wise intersecting family, with witnesses.
@@ -222,18 +203,18 @@ def search_min(config: SearchConfig) -> SearchReport:
     Decides the families below the distinctness threshold by their common
     intersection; the floor always holds a maximal one, so the minimum is
     the floor and the witnesses are the canonical forms of the floor's
-    maximal families.  nodes_explored counts the combinations the scan
-    visited, C(2^n, floor) in a complete run.  A run cut short by the
-    budget is flagged non-optimal and its witness list may miss classes.
+    maximal families: a labeled one is kept only when it is the least of
+    its relabelings, as each class is at exactly one combination.
+    nodes_explored counts the combinations the scan visited, C(2^n, floor)
+    in a complete run.  A run cut short by the budget is flagged
+    non-optimal and its witness list may miss classes.
     """
     start = time.monotonic()
     deadline = start + config.budget
     n, k, mode = config.n, config.k, config.mode
     floor = _first_below_k_size(n, k, mode)
     nodes = 0
-    # one canonical form per class, each struck off when the scan first meets it
     forms: List[int] = []
-    seen: Set[int] = set()
     interrupted = False
     for size, bm in _below_k_maximal(n, k, mode):
         if size > floor:
@@ -242,8 +223,8 @@ def search_min(config: SearchConfig) -> SearchReport:
         if nodes & 255 == 0 and time.monotonic() > deadline:
             interrupted = True
             break
-        if bm and bm not in seen:
-            forms.append(_least_relabeling(n, bm, seen))
+        if bm and _is_min_relabeling(bm, n):
+            forms.append(bm)
 
     witnesses = tuple(SetFamily(n, bm) for bm in sorted(forms))
     matched = (False,) * len(witnesses)

@@ -123,7 +123,6 @@ def test_criterion_05_minimum_witness_probe():
             assert _naive_is_maximal(n, list(w), 3, DISTINCT)
         # the desk-scale answer to the isomorphism question: at these
         # sizes the minimum witnesses are NOT balanced linked cubes
-        assert report.all_witnesses_linked_cubes is False
         assert not any(report.matched_linked_cubes)
     assert time.monotonic() - start < 3600
 
