@@ -131,6 +131,69 @@ def _below_k_maximal(n: int, k: int, mode: KwiseMode) -> Iterator[Tuple[int, int
             yield size, sum(1 << m for m in combo) if maximal else 0
 
 
+def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
+    """Families of `size` distinct members on n elements, one per class,
+    as column profiles: each profile yields (labeled copies, bitmap if
+    maximal, else 0), and (0, 0) when it stands for no new class.
+
+    Coordinate i has type x when bit j of x says whether i lies in member
+    j, so a family up to relabeling is a multiset of n types, and its
+    classmates are the images of the multiset under the size! orders of
+    the members.  A multiset is kept only when no image sorts lower, the
+    orderly generation of McKay ("Isomorph-free exhaustive generation",
+    1998).  Sorted multisets of one length compare as their counts of
+    type 0, 1, ... in turn, more first, so a multiset is keyed by its
+    counts as digits, and an image key is a sum of per-type weights.  The
+    keys of every order sit in fields of one int, identity first, each
+    with a guard bit; subtracting them from copies of the multiset's own
+    key leaves a field's guard set exactly when its image is no lower.
+    A kept class has n! / (prod of count! * |stab|) labeled copies, stab
+    holding the orders whose image is the multiset itself.  Assumes
+    size < n, so size < 2^(n - 1) and a family is maximal exactly when its
+    common intersection, the coordinates of the all-ones type, is empty
+    (see _below_k_maximal).
+    """
+    types = 1 << size
+    width = n.bit_length()  # a count digit of up to n
+    field = width * types + 1
+    orders = list(itertools.permutations(range(size)))
+    weights = [
+        sum(
+            1 << width * (types - 1 - sum((x >> j & 1) << p[j] for j in range(size))) + field * i
+            for i, p in enumerate(orders)
+        )
+        for x in range(types)
+    ]
+    weight = weights.__getitem__
+    own = (1 << field) - 1
+    ones = sum(1 << field * i for i in range(len(orders)))
+    guards = ones << (field - 1)
+    # a type's column of every member, member j at bit n * j
+    columns = [sum((x >> j & 1) << n * j for j in range(size)) for x in range(types)]
+    ground = full_mask(n)
+    full = types - 1
+    fact = [math.factorial(i) for i in range(n + 1)]
+    for profile in itertools.combinations_with_replacement(range(types), n):
+        keys = sum(map(weight, profile))
+        mine = (keys & own) * ones
+        if (mine | guards) - keys & guards == guards:
+            # a field of keys ^ mine is 0 exactly when its image ties
+            stab = len(orders) - (((keys ^ mine) | guards) - ones & guards).bit_count()
+            # columns in fewer members go higher: the copy is then often its
+            # class's least, which the canonical form's branch and bound
+            # proves sooner than it finds it
+            placed = sorted(profile, key=int.bit_count, reverse=True)
+            rows = sum(columns[x] << i for i, x in enumerate(placed))
+            members = {rows >> n * j & ground for j in range(size)}
+            if len(members) == size:
+                copies = fact[n] // stab
+                for x in set(profile):
+                    copies //= fact[profile.count(x)]
+                yield copies, 0 if profile[-1] == full else sum(1 << m for m in members)
+                continue
+        yield 0, 0
+
+
 def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamily]:
     """Every maximal k-wise intersecting family on n elements, n small.
 
@@ -179,13 +242,13 @@ class SearchReport:
     """Outcome of a minimum-size search.
 
     f_value is the minimum, which always equals lower_bound, even when the
-    budget ran out: the scan's first combination, the empty set with
-    floor - 1 other masks, is maximal, and the budget is first read at the
-    256th combination.  Witnesses are
-    canonical forms, pairwise non-isomorphic, sorted by bitmap;
-    matched_linked_cubes aligns with them and flags isomorphism to the
-    balanced linked-cubes family.  When optimal is False the scan was cut
-    short before the least labeled copy of some classes, which it misses.
+    budget ran out: the floor always holds a maximal family, the empty set
+    with floor - 1 other masks, so the below-k rule proves the minimum and
+    the walk only lists its classes.  Witnesses are canonical forms,
+    pairwise non-isomorphic, sorted by bitmap; matched_linked_cubes aligns
+    with them and flags isomorphism to the balanced linked-cubes family.
+    nodes_explored counts the labeled floor families the walk decided.
+    When optimal is False the walk was cut short and may miss classes.
     """
 
     f_value: int
@@ -203,11 +266,16 @@ def search_min(config: SearchConfig) -> SearchReport:
     Decides the families below the distinctness threshold by their common
     intersection; the floor always holds a maximal one, so the minimum is
     the floor and the witnesses are the canonical forms of the floor's
-    maximal families: a labeled one is kept only when it is the least of
-    its relabelings, as each class is at exactly one combination.
-    nodes_explored counts the combinations the scan visited, C(2^n, floor)
-    in a complete run.  A run cut short by the budget is flagged
-    non-optimal and its witness list may miss classes.
+    maximal families.  Below floor n the classes come one each from the
+    column profiles of _floor_profiles, which test floor! member orders
+    per profile, and nodes_explored adds each class's labeled copies.
+    From floor n on, where those orders are at least the n! relabelings
+    of a row set, every combination of floor masks is scanned, a maximal
+    one kept when it is the least of its relabelings, and nodes_explored
+    counts combinations.  Either way a complete run counts C(2^n, floor).
+    The budget is read every 256 combinations or profiles, and before
+    each profile's canonical form.  A run cut short by the budget is
+    flagged non-optimal and its witness list may miss classes.
     """
     start = time.monotonic()
     deadline = start + config.budget
@@ -216,15 +284,24 @@ def search_min(config: SearchConfig) -> SearchReport:
     nodes = 0
     forms: List[int] = []
     interrupted = False
-    for size, bm in _below_k_maximal(n, k, mode):
-        if size > floor:
-            break
-        nodes += 1
-        if nodes & 255 == 0 and time.monotonic() > deadline:
-            interrupted = True
-            break
-        if bm and _is_min_relabeling(bm, n):
-            forms.append(bm)
+    if floor < n:
+        for seen, (copies, bm) in enumerate(_floor_profiles(n, floor), 1):
+            if (bm or seen & 255 == 0) and time.monotonic() > deadline:
+                interrupted = True
+                break
+            nodes += copies
+            if bm:
+                forms.append(_min_relabeling(bm, n))
+    else:
+        for size, bm in _below_k_maximal(n, k, mode):
+            if size > floor:
+                break
+            nodes += 1
+            if nodes & 255 == 0 and time.monotonic() > deadline:
+                interrupted = True
+                break
+            if bm and _is_min_relabeling(bm, n):
+                forms.append(bm)
 
     witnesses = tuple(SetFamily(n, bm) for bm in sorted(forms))
     matched = (False,) * len(witnesses)

@@ -47,7 +47,8 @@ from kwise.bitops import (
     up_close_bits,
 )
 from kwise.core import ReachState, _exact_eps
-from kwise.search import _below_k_maximal, _naive_is_maximal
+from kwise import search
+from kwise.search import _below_k_maximal, _first_below_k_size, _naive_is_maximal
 
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
@@ -474,6 +475,70 @@ def test_search_witnesses_match_enumeration(n, k, mode):
     assert [w.bitmap for w in report.witnesses] == want
 
 
+def row_scan(n, k, mode):
+    """The floor's classes by the row scan: every labeled family of floor
+    members, each maximal one kept when it is its class's least copy."""
+    floor = _first_below_k_size(n, k, mode)
+    nodes, forms = 0, []
+    for size, bm in _below_k_maximal(n, k, mode):
+        if size > floor:
+            break
+        nodes += 1
+        if bm and _is_min_relabeling(bm, n):
+            forms.append(bm)
+    return sorted(forms), nodes
+
+
+@pytest.mark.parametrize(
+    "n,k,mode",
+    [(n, k, DISTINCT) for n in range(2, 8) for k in range(2, min(n, 5) + 1) if (n, k) != (7, 5)]
+    + [(n, k, REPETITION) for n in range(2, 8) for k in (2, 5)],
+)
+def test_floor_profiles_match_the_row_scan(n, k, mode):
+    """Below floor n the column profiles give the row scan's witnesses,
+    linked-cubes flags and node count: every such (n, k) at n = 2..7 but
+    (6, 6), (7, 5) and (7, 6), whose row scans take about 14 s, 15 s and
+    several minutes."""
+    assert _first_below_k_size(n, k, mode) < n
+    forms, nodes = row_scan(n, k, mode)
+    target = canonical_form(linked_cubes(n, balanced_block(n))).bitmap
+    report = search_min(SearchConfig(n=n, k=k, mode=mode, budget=600))
+    assert report.optimal
+    assert [w.bitmap for w in report.witnesses] == forms
+    assert report.matched_linked_cubes == tuple(bm == target for bm in forms)
+    assert report.nodes_explored == nodes
+
+
+@pytest.mark.parametrize("n,k,classes", [(7, 4, 312), (6, 5, 1707), (7, 5, 5191)])
+def test_floor_profiles_count_every_labeled_family_once(n, k, classes):
+    """Each kept profile adds its labeled copies, n! / (prod count! |stab|),
+    so a complete run counts every combination of floor members once."""
+    report = search_min(SearchConfig(n=n, k=k, budget=600))
+    assert report.optimal
+    assert report.nodes_explored == comb(2**n, k - 1)
+    assert len(report.witnesses) == classes
+
+
+@pytest.mark.parametrize(
+    "n,k,walk",
+    [(4, 4, "_floor_profiles"), (4, 5, "_below_k_maximal"), (5, 5, "_floor_profiles")],
+)
+def test_search_walk_switches_at_floor_n(monkeypatch, n, k, walk):
+    """Floor n - 1 walks column profiles, floor n scans rows; both give one
+    canonical form per class of the exhaustive listing's minimum."""
+    families = enumerate_maximal_families(n, k, DISTINCT)
+    f = min(len(fam) for fam in families)
+    want = sorted({canonical_form(fam).bitmap for fam in families if len(fam) == f})
+    calls = []
+    for name in ("_floor_profiles", "_below_k_maximal"):
+        real = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    report = search_min(SearchConfig(n=n, k=k))
+    assert calls == [walk]
+    assert report.f_value == f
+    assert [w.bitmap for w in report.witnesses] == want
+
+
 def _witness_digest(report):
     text = ",".join(str(w.bitmap) for w in report.witnesses)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -558,11 +623,12 @@ def test_search_with_k_above_the_ground_count_finishes(n, k):
     assert report.elapsed < 1
 
 
-def test_search_budget_covers_the_witness_strike_off():
-    # (6, 5) scans 635,376 four-member families; each labeled witness is
-    # tested for being its class's least copy inside the scan's budget
+def test_search_budget_covers_the_floor_walk():
+    # (7, 5) walks 170,544 column profiles and puts 5,191 classes in
+    # canonical form; the budget is read every 256 profiles and before
+    # each canonical form
     budget = 0.2
-    report = search_min(SearchConfig(n=6, k=5, budget=budget))
+    report = search_min(SearchConfig(n=7, k=5, budget=budget))
     assert not report.optimal
     assert report.elapsed < budget + 0.25
 
