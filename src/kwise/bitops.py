@@ -245,7 +245,13 @@ def _min_relabeling(bitmap: int, n: int) -> int:
         m = len(free)
         kinds = set(free)
         if m <= TAIL and m - len(kinds) <= 1:
-            best = min(best, *_heap_walk(bm, m, swaps))
+            if bm < best:
+                best = bm
+            for shift, pat in _heap_order(n, m):
+                moved = (bm ^ (bm >> shift)) & pat
+                bm ^= moved ^ (moved << shift)
+                if bm < best:
+                    best = bm
             continue
         children = {}
         for c in kinds:
@@ -270,31 +276,37 @@ def _is_min_relabeling(bitmap: int, n: int) -> bool:
     return _min_relabeling(bitmap, n) == bitmap
 
 
-def _heap_walk(bitmap: int, m: int, swaps: List) -> Iterator[int]:
-    """The m! relabelings of a bitmap under permutations of its lowest m
-    coordinates, in Heap's order ("Permutations by interchanges", 1963):
-    each one is the one before with two coordinates exchanged."""
-    yield bitmap
-    if m < 2:
-        return
-    first = swaps[1][0][1]
+@lru_cache(maxsize=64)
+def _heap_order(n: int, m: int) -> Tuple[Tuple[int, int], ...]:
+    """Heap's order ("Permutations by interchanges", 1963) over the lowest
+    m of n coordinates, as the m! - 1 exchanges that step from each
+    relabeling to the next, each a (shift, mask) of `_swap_table(n)`."""
+    swaps = _swap_table(n)
+    steps = []
     c = [0] * m
-    while True:
+    while m >= 2:
         # every other step of Heap's order exchanges coordinates 0 and 1
-        moved = (bitmap ^ (bitmap >> 1)) & first
-        bitmap ^= moved ^ (moved << 1)
-        yield bitmap
+        steps.append(swaps[1][0])
         i = 2
         while i < m and c[i] == i:
             c[i] = 0
             i += 1
         if i == m:
-            return
-        shift, pat = swaps[i][c[i] if i & 1 else 0]
+            break
+        steps.append(swaps[i][c[i] if i & 1 else 0])
+        c[i] += 1
+    return tuple(steps)
+
+
+def _heap_walk(bitmap: int, m: int, swaps: List) -> Iterator[int]:
+    """The m! relabelings of a bitmap under permutations of its lowest m
+    coordinates, in Heap's order: each one is the one before with two
+    coordinates exchanged.  swaps is `_swap_table(n)`."""
+    yield bitmap
+    for shift, pat in _heap_order(len(swaps), m):
         moved = (bitmap ^ (bitmap >> shift)) & pat
         bitmap ^= moved ^ (moved << shift)
         yield bitmap
-        c[i] += 1
 
 
 def project_intersect_bits(bm: int, keep: int, n: int) -> int:

@@ -134,24 +134,30 @@ def _below_k_maximal(n: int, k: int, mode: KwiseMode) -> Iterator[Tuple[int, int
 def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
     """Families of `size` distinct members on n elements, one per class,
     as column profiles: each profile yields (labeled copies, bitmap if
-    maximal, else 0), and (0, 0) when it stands for no new class.
+    maximal, else 0), and (0, 0) when it, or a prefix of it, stands for
+    no new class.
 
     Coordinate i has type x when bit j of x says whether i lies in member
     j, so a family up to relabeling is a multiset of n types, and its
     classmates are the images of the multiset under the size! orders of
     the members.  A multiset is kept only when no image sorts lower, the
-    orderly generation of McKay ("Isomorph-free exhaustive generation",
-    1998).  Sorted multisets of one length compare as their counts of
-    type 0, 1, ... in turn, more first, so a multiset is keyed by its
-    counts as digits, and an image key is a sum of per-type weights.  The
-    keys of every order sit in fields of one int, identity first, each
-    with a guard bit; subtracting them from copies of the multiset's own
-    key leaves a field's guard set exactly when its image is no lower.
-    A kept class has n! / (prod of count! * |stab|) labeled copies, stab
-    holding the orders whose image is the multiset itself.  Assumes
-    size < n, so size < 2^(n - 1) and a family is maximal exactly when its
-    common intersection, the coordinates of the all-ones type, is empty
-    (see _below_k_maximal).
+    orderly generation of Read ("Every one a winner", 1978) and McKay
+    ("Isomorph-free exhaustive generation", 1998).  Sorted multisets of
+    one length compare as their counts of type 0, 1, ... in turn, more
+    first, so a multiset is keyed by its counts as digits, and an image
+    key is a sum of per-type weights.  The keys of every order sit in
+    fields of one int, identity first, each with a guard bit; subtracting
+    them from copies of the multiset's own key leaves a field's guard set
+    exactly when its image is no lower.  The i-th least type of an image
+    of a multiset is at most that of the image of any part of it, so a
+    prefix with a lower image has extensions with lower images only: the
+    walk grows sorted prefixes depth-first, in the order of
+    combinations_with_replacement, and drops a failing one with all its
+    extensions (Read's prefix property).  A kept class has
+    n! / (prod of count! * |stab|) labeled copies, stab holding the
+    orders whose image is the multiset itself.  Assumes size < 2^(n - 1), so a family is maximal
+    exactly when its common intersection, the coordinates of the all-ones
+    type, is empty (see _below_k_maximal).
     """
     types = 1 << size
     width = n.bit_length()  # a count digit of up to n
@@ -164,7 +170,6 @@ def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
         )
         for x in range(types)
     ]
-    weight = weights.__getitem__
     own = (1 << field) - 1
     ones = sum(1 << field * i for i in range(len(orders)))
     guards = ones << (field - 1)
@@ -173,25 +178,45 @@ def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
     ground = full_mask(n)
     full = types - 1
     fact = [math.factorial(i) for i in range(n + 1)]
-    for profile in itertools.combinations_with_replacement(range(types), n):
-        keys = sum(map(weight, profile))
+    # the prefix tested is profile[:depth] + [x], and sums[d] holds the
+    # keys of profile[:d]
+    profile = [0] * n
+    sums = [0] * n
+    depth = x = 0
+    while True:
+        if x == types:
+            depth -= 1
+            if depth < 0:
+                return
+            x = profile[depth] + 1
+            continue
+        keys = sums[depth] + weights[x]
         mine = (keys & own) * ones
-        if (mine | guards) - keys & guards == guards:
-            # a field of keys ^ mine is 0 exactly when its image ties
-            stab = len(orders) - (((keys ^ mine) | guards) - ones & guards).bit_count()
-            # columns in fewer members go higher: the copy is then often its
-            # class's least, which the canonical form's branch and bound
-            # proves sooner than it finds it
-            placed = sorted(profile, key=int.bit_count, reverse=True)
-            rows = sum(columns[x] << i for i, x in enumerate(placed))
-            members = {rows >> n * j & ground for j in range(size)}
-            if len(members) == size:
-                copies = fact[n] // stab
-                for x in set(profile):
-                    copies //= fact[profile.count(x)]
-                yield copies, 0 if profile[-1] == full else sum(1 << m for m in members)
-                continue
-        yield 0, 0
+        if (mine | guards) - keys & guards != guards:
+            yield 0, 0
+            x += 1
+            continue
+        profile[depth] = x
+        if depth < n - 1:
+            depth += 1
+            sums[depth] = keys
+            continue
+        x += 1
+        # a field of keys ^ mine is 0 exactly when its image ties
+        stab = len(orders) - (((keys ^ mine) | guards) - ones & guards).bit_count()
+        # columns in fewer members go higher: the copy is then often its
+        # class's least, which the canonical form's branch and bound
+        # proves sooner than it finds it
+        placed = sorted(profile, key=int.bit_count, reverse=True)
+        rows = sum(columns[t] << i for i, t in enumerate(placed))
+        members = {rows >> n * j & ground for j in range(size)}
+        if len(members) == size:
+            copies = fact[n] // stab
+            for t in set(profile):
+                copies //= fact[profile.count(t)]
+            yield copies, 0 if profile[-1] == full else sum(1 << m for m in members)
+        else:
+            yield 0, 0
 
 
 def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamily]:
@@ -266,16 +291,18 @@ def search_min(config: SearchConfig) -> SearchReport:
     Decides the families below the distinctness threshold by their common
     intersection; the floor always holds a maximal one, so the minimum is
     the floor and the witnesses are the canonical forms of the floor's
-    maximal families.  Below floor n the classes come one each from the
-    column profiles of _floor_profiles, which test floor! member orders
-    per profile, and nodes_explored adds each class's labeled copies.
-    From floor n on, where those orders are at least the n! relabelings
-    of a row set, every combination of floor masks is scanned, a maximal
-    one kept when it is the least of its relabelings, and nodes_explored
-    counts combinations.  Either way a complete run counts C(2^n, floor).
-    The budget is read every 256 combinations or profiles, and before
-    each profile's canonical form.  A run cut short by the budget is
-    flagged non-optimal and its witness list may miss classes.
+    maximal families.  Up to floor n (and below 2^(n - 1)) the classes
+    come one each from the column profiles of _floor_profiles, which test
+    floor! member orders per profile prefix, and nodes_explored adds each
+    class's labeled copies.  From floor n + 1 on, where those orders
+    outnumber the n! relabelings of a row set by n + 1 or more, every
+    combination of floor masks is scanned, a maximal one kept when it is
+    the least of its relabelings, and nodes_explored counts combinations.
+    Either way a complete run counts C(2^n, floor).  The budget is read
+    every 256 combinations or profiles (a dropped prefix counts as a
+    profile), and before each profile's canonical form.  A run cut short
+    by the budget is flagged non-optimal and its witness list may miss
+    classes.
     """
     start = time.monotonic()
     deadline = start + config.budget
@@ -284,14 +311,16 @@ def search_min(config: SearchConfig) -> SearchReport:
     nodes = 0
     forms: List[int] = []
     interrupted = False
-    if floor < n:
+    if floor <= n and floor < 1 << (n - 1):
         for seen, (copies, bm) in enumerate(_floor_profiles(n, floor), 1):
             if (bm or seen & 255 == 0) and time.monotonic() > deadline:
                 interrupted = True
                 break
             nodes += copies
             if bm:
-                forms.append(_min_relabeling(bm, n))
+                # the empty columns sit at the top, so the least relabeling
+                # permutes only the coordinates below them
+                forms.append(_min_relabeling(bm, (bm.bit_length() - 1).bit_length()))
     else:
         for size, bm in _below_k_maximal(n, k, mode):
             if size > floor:

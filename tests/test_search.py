@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +38,7 @@ from kwise import (
 from kwise.bitops import (
     _heap_walk,
     _is_min_relabeling,
+    _min_relabeling,
     _relabeling_bound,
     _swap_table,
     _swaps_and_twins,
@@ -519,13 +520,84 @@ def test_floor_profiles_count_every_labeled_family_once(n, k, classes):
     assert len(report.witnesses) == classes
 
 
+def every_multiset_profiles(n, size):
+    """The column-profile walk without prefix pruning: every sorted
+    multiset of n column types is built and tested on its own, yielding
+    (0, 0) when some member order gives it a lower image."""
+    types = 1 << size
+    width = n.bit_length()
+    field = width * types + 1
+    orders = list(itertools.permutations(range(size)))
+    weights = [
+        sum(
+            1 << width * (types - 1 - sum((x >> j & 1) << p[j] for j in range(size))) + field * i
+            for i, p in enumerate(orders)
+        )
+        for x in range(types)
+    ]
+    own = (1 << field) - 1
+    ones = sum(1 << field * i for i in range(len(orders)))
+    guards = ones << (field - 1)
+    columns = [sum((x >> j & 1) << n * j for j in range(size)) for x in range(types)]
+    for profile in itertools.combinations_with_replacement(range(types), n):
+        keys = sum(map(weights.__getitem__, profile))
+        mine = (keys & own) * ones
+        if (mine | guards) - keys & guards == guards:
+            stab = len(orders) - (((keys ^ mine) | guards) - ones & guards).bit_count()
+            placed = sorted(profile, key=int.bit_count, reverse=True)
+            rows = sum(columns[x] << i for i, x in enumerate(placed))
+            members = {rows >> n * j & full_mask(n) for j in range(size)}
+            if len(members) == size:
+                copies = factorial(n) // stab
+                for x in set(profile):
+                    copies //= factorial(profile.count(x))
+                full = profile[-1] == types - 1
+                yield copies, 0 if full else sum(1 << m for m in members)
+                continue
+        yield 0, 0
+
+
+PROFILE_SIZES = (
+    [(n, s) for n in range(2, 7) for s in range(1, n)]
+    + [(3, 3), (4, 4), (5, 5), (7, 2), (7, 3), (7, 4)]
+)
+
+
+@pytest.mark.parametrize("n,size", PROFILE_SIZES)
+def test_pruned_profiles_match_every_multiset(n, size):
+    """Dropping a prefix with a lower image loses no kept multiset: the
+    pruned walk yields the same classes, copies and bitmaps, in the same
+    order, as testing every multiset."""
+    want = [y for y in every_multiset_profiles(n, size) if y != (0, 0)]
+    got = [y for y in search._floor_profiles(n, size) if y != (0, 0)]
+    assert got == want
+
+
+@pytest.mark.parametrize("n,size", PROFILE_SIZES)
+def test_floor_forms_need_only_the_support(n, size):
+    """A profile's copy puts its empty columns at the top, so its least
+    relabeling over the coordinates below them is its least overall."""
+    for _, bm in search._floor_profiles(n, size):
+        if bm:
+            support = (bm.bit_length() - 1).bit_length()
+            assert _min_relabeling(bm, support) == _min_relabeling(bm, n)
+
+
 @pytest.mark.parametrize(
     "n,k,walk",
-    [(4, 4, "_floor_profiles"), (4, 5, "_below_k_maximal"), (5, 5, "_floor_profiles")],
+    [
+        (4, 4, "_floor_profiles"),
+        (4, 5, "_floor_profiles"),
+        (5, 5, "_floor_profiles"),
+        (4, 6, "_below_k_maximal"),
+        (2, 3, "_below_k_maximal"),
+    ],
 )
 def test_search_walk_switches_at_floor_n(monkeypatch, n, k, walk):
-    """Floor n - 1 walks column profiles, floor n scans rows; both give one
-    canonical form per class of the exhaustive listing's minimum."""
+    """Floors up to n walk column profiles, floor n + 1 scans rows, and so
+    does floor 2^(n - 1), where the profiles' maximality rule fails; both
+    walks give one canonical form per class of the exhaustive listing's
+    minimum."""
     families = enumerate_maximal_families(n, k, DISTINCT)
     f = min(len(fam) for fam in families)
     want = sorted({canonical_form(fam).bitmap for fam in families if len(fam) == f})
@@ -624,11 +696,11 @@ def test_search_with_k_above_the_ground_count_finishes(n, k):
 
 
 def test_search_budget_covers_the_floor_walk():
-    # (7, 5) walks 170,544 column profiles and puts 5,191 classes in
-    # canonical form; the budget is read every 256 profiles and before
-    # each canonical form
+    # (7, 6) yields 194,954 column profiles and dropped prefixes and puts
+    # 87,286 classes in canonical form, some seconds of work; the budget
+    # is read every 256 yields and before each canonical form
     budget = 0.2
-    report = search_min(SearchConfig(n=7, k=5, budget=budget))
+    report = search_min(SearchConfig(n=7, k=6, budget=budget))
     assert not report.optimal
     assert report.elapsed < budget + 0.25
 
