@@ -54,7 +54,13 @@ from .constructions import (
 from .core import KwiseMode, ReachState, SetFamily, _check_k, maximal_closure
 from .disjointness import build_bipartite, build_graph, count_edges_touching, stability_stats
 from .generator import coverage
-from .search import MAX_SEARCH_GROUND, SearchConfig, audit_claim_counts, search_min
+from .search import (
+    MAX_SEARCH_GROUND,
+    SearchConfig,
+    _first_below_k_size,
+    audit_claim_counts,
+    search_min,
+)
 
 SCHEMA_VERSION = 3
 INLINE_FAMILY_BITS = 1 << 20
@@ -227,11 +233,16 @@ def _size_or_blank(size, *args: int) -> Any:
         return ""
 
 
-def _witness_fault(n: int, k: int, mode: KwiseMode, result: Dict[str, Any]) -> str | None:
-    """Why a search-min result's witnesses cannot be what the search
-    wrote, or None when each is an inline family of f members, maximal
-    and its own canonical form."""
-    witnesses = result["witnesses"]
+def _search_fault(n: int, k: int, mode: KwiseMode, result: Dict[str, Any]) -> str | None:
+    """Why a search-min result cannot be what the search wrote, or None
+    when f is the floor and each witness is an inline family of f
+    members, maximal and its own canonical form.  The floor is the
+    minimum by the below-k rule, whatever schema version wrote the
+    record."""
+    floor = _first_below_k_size(n, k, mode)
+    if result["f"] != floor:
+        return f"f is {result['f']!r}, not the floor {floor}"
+    witnesses = result.get("witnesses", [])
     if not isinstance(witnesses, list):
         return "witnesses are not a list"
     for text in witnesses:
@@ -285,7 +296,7 @@ def _cmd_report(args, params: Dict[str, Any]) -> Dict[str, Any]:
         except ValueError:
             continue
         if command == "search-min" and n <= MAX_SEARCH_GROUND and result.get("f") is not None:
-            fault = "witnesses" in result and _witness_fault(n, k, KwiseMode(mode), result)
+            fault = _search_fault(n, k, KwiseMode(mode), result)
             if fault:
                 raise ValueError(f"ledger integrity violation for {command}: {fault}")
             sizes = [(linked_cubes_size, n // 2), (series_of_cubes_size, k - 1), (janzer_size, k)]

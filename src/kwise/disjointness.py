@@ -72,7 +72,7 @@ def build_graph(family: SetFamily) -> DisjointnessGraph:
     """
     _check_pairs(len(family), len(family))
     members = tuple(family.members())
-    adjacency = _cross_adjacency(members, members, family.n, skip_diagonal=True)
+    adjacency = _cross_adjacency(members, members, skip_diagonal=True)
     return DisjointnessGraph(family.n, members, members, adjacency, bipartite=False)
 
 
@@ -83,7 +83,7 @@ def build_bipartite(a: SetFamily, b: SetFamily) -> DisjointnessGraph:
     _check_pairs(len(a), len(b))
     left = tuple(a.members())
     right = tuple(b.members())
-    adjacency = _cross_adjacency(left, right, a.n, skip_diagonal=False)
+    adjacency = _cross_adjacency(left, right, skip_diagonal=False)
     return DisjointnessGraph(a.n, left, right, adjacency, bipartite=True)
 
 
@@ -95,7 +95,7 @@ def _check_pairs(left: int, right: int) -> None:
 
 
 def _cross_adjacency(
-    left: Sequence[int], right: Sequence[int], n: int, skip_diagonal: bool
+    left: Sequence[int], right: Sequence[int], skip_diagonal: bool
 ) -> Tuple[int, ...]:
     rows = []
     for u, mu in enumerate(left):

@@ -110,32 +110,39 @@ def _first_below_k_size(n: int, k: int, mode: KwiseMode) -> int:
     return min(k - 1, 1 << n) if mode is KwiseMode.DISTINCT else 1
 
 
-def _below_k_maximal(n: int, k: int, mode: KwiseMode) -> Iterator[Tuple[int, int]]:
-    """Families of fewer than k members from the smallest size that can be
-    maximal, each as (size, bitmap if it is maximal, else 0).
+def _floor_maximal(n: int, size: int, common: int) -> bool:
+    """Whether a family of `size` distinct members, size the floor, is
+    maximal when I, the AND of its members, has `common` elements.
 
-    By the below-k rule of core.ReachState, the family is maximal when
-    every non-member misses I, the AND of the members, and it passes
-    itself: always in DISTINCT mode, with repetition at one member or I != 0.
-    Every member contains I, so for I != 0 the first condition says the
-    family is all 2^n - 2^(n - |I|) sets meeting I, which its size decides.
+    By the below-k rule of core.ReachState, a family of fewer than k
+    members is maximal when every non-member misses I and it passes
+    itself: always in DISTINCT mode, with repetition at one member or
+    I != 0, so always at the floor.  Every
+    member contains I, so for I != 0 the first condition says the family
+    is all 2^n - 2^(n - |I|) sets meeting I, which its size decides.
     """
-    count = 1 << n
-    distinct = mode is KwiseMode.DISTINCT
-    for size in range(_first_below_k_size(n, k, mode), min(k, count + 1)):
-        for combo in itertools.combinations(range(count), size):
-            common = reduce(operator.and_, combo)
-            maximal = (distinct or size == 1 or common) and (
-                not common or size == count - (1 << (n - common.bit_count()))
-            )
-            yield size, sum(1 << m for m in combo) if maximal else 0
+    return not common or size == (1 << n) - (1 << (n - common))
+
+
+def _floor_rows(n: int, size: int) -> Iterator[Tuple[int, int]]:
+    """Every labeled family of `size` distinct members on n elements, each
+    as (1, bitmap if it is maximal and the least of its relabelings,
+    else 0)."""
+    for combo in itertools.combinations(range(1 << n), size):
+        common = reduce(operator.and_, combo)
+        if not common or _floor_maximal(n, size, common.bit_count()):
+            bm = sum(1 << m for m in combo)
+            if _is_min_relabeling(bm, n):
+                yield 1, bm
+                continue
+        yield 1, 0
 
 
 def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
     """Families of `size` distinct members on n elements, one per class,
-    as column profiles: each profile yields (labeled copies, bitmap if
-    maximal, else 0), and (0, 0) when it, or a prefix of it, stands for
-    no new class.
+    as column profiles: each profile yields (labeled copies, canonical
+    form if maximal, else 0), and (0, 0) when it, or a prefix of it,
+    stands for no new class.
 
     Coordinate i has type x when bit j of x says whether i lies in member
     j, so a family up to relabeling is a multiset of n types, and its
@@ -155,9 +162,12 @@ def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
     combinations_with_replacement, and drops a failing one with all its
     extensions (Read's prefix property).  A kept class has
     n! / (prod of count! * |stab|) labeled copies, stab holding the
-    orders whose image is the multiset itself.  Assumes size < 2^(n - 1), so a family is maximal
-    exactly when its common intersection, the coordinates of the all-ones
-    type, is empty (see _below_k_maximal).
+    orders whose image is the multiset itself.  The coordinates of the
+    all-ones type are the family's common elements, which decide whether
+    it is maximal (_floor_maximal).  Columns in fewer members go higher,
+    so the empty ones sit at the top, and the canonical form permutes
+    only the coordinates below them: the copy is then often its class's
+    least, which the branch and bound proves sooner than it finds it.
     """
     types = 1 << size
     width = n.bit_length()  # a count digit of up to n
@@ -204,9 +214,6 @@ def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
         x += 1
         # a field of keys ^ mine is 0 exactly when its image ties
         stab = len(orders) - (((keys ^ mine) | guards) - ones & guards).bit_count()
-        # columns in fewer members go higher: the copy is then often its
-        # class's least, which the canonical form's branch and bound
-        # proves sooner than it finds it
         placed = sorted(profile, key=int.bit_count, reverse=True)
         rows = sum(columns[t] << i for i, t in enumerate(placed))
         members = {rows >> n * j & ground for j in range(size)}
@@ -214,7 +221,9 @@ def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
             copies = fact[n] // stab
             for t in set(profile):
                 copies //= fact[profile.count(t)]
-            yield copies, 0 if profile[-1] == full else sum(1 << m for m in members)
+            maximal = _floor_maximal(n, size, profile.count(full))
+            bm = sum(1 << m for m in members) if maximal else 0
+            yield copies, bm and _min_relabeling(bm, (bm.bit_length() - 1).bit_length())
         else:
             yield 0, 0
 
@@ -222,15 +231,20 @@ def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
 def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamily]:
     """Every maximal k-wise intersecting family on n elements, n small.
 
-    Families with fewer than k members follow from their common
-    intersection; the rest are upward closed, so filtering the up-set
-    listing completes the search.
+    Families with fewer than k members are filtered by the naive oracle,
+    from the smallest size that can be maximal; the rest are upward
+    closed, so filtering the up-set listing completes the search.
     """
     if n > MAX_ORACLE_GROUND:
         raise ValueError(f"exhaustive enumeration capped at n={MAX_ORACLE_GROUND}, got {n}")
     _check_k(k)
     _check_mode(mode)
-    results = [SetFamily(n, bm) for _, bm in _below_k_maximal(n, k, mode) if bm]
+    results = [
+        SetFamily(n, sum(1 << m for m in combo))
+        for size in range(_first_below_k_size(n, k, mode), min(k, (1 << n) + 1))
+        for combo in itertools.combinations(range(1 << n), size)
+        if _naive_is_maximal(n, list(combo), k, mode)
+    ]
     for bm in enumerate_upsets(n):
         if bm.bit_count() < k:
             continue
@@ -291,18 +305,18 @@ def search_min(config: SearchConfig) -> SearchReport:
     Decides the families below the distinctness threshold by their common
     intersection; the floor always holds a maximal one, so the minimum is
     the floor and the witnesses are the canonical forms of the floor's
-    maximal families.  Up to floor n (and below 2^(n - 1)) the classes
-    come one each from the column profiles of _floor_profiles, which test
-    floor! member orders per profile prefix, and nodes_explored adds each
-    class's labeled copies.  From floor n + 1 on, where those orders
-    outnumber the n! relabelings of a row set by n + 1 or more, every
-    combination of floor masks is scanned, a maximal one kept when it is
-    the least of its relabelings, and nodes_explored counts combinations.
-    Either way a complete run counts C(2^n, floor).  The budget is read
-    every 256 combinations or profiles (a dropped prefix counts as a
-    profile), and before each profile's canonical form.  A run cut short
-    by the budget is flagged non-optimal and its witness list may miss
-    classes.
+    maximal families.  Up to floor n the classes come one each from the
+    column profiles of _floor_profiles, which test floor! member orders
+    per profile prefix.  From floor n + 1 on, where those orders
+    outnumber the n! relabelings of a row set by n + 1 or more,
+    _floor_rows scans every combination of floor masks and keeps a
+    maximal one when it is the least of its relabelings.  Both walks
+    yield (labeled families decided, canonical form or 0), and one loop
+    adds the families to nodes_explored and keeps the forms, so a
+    complete run counts C(2^n, floor).  The budget is read every 256
+    yields (a dropped prefix of profiles is one) and after each class's
+    form.  A run cut short by the budget is flagged non-optimal and its
+    witness list may miss classes.
     """
     start = time.monotonic()
     deadline = start + config.budget
@@ -311,26 +325,14 @@ def search_min(config: SearchConfig) -> SearchReport:
     nodes = 0
     forms: List[int] = []
     interrupted = False
-    if floor <= n and floor < 1 << (n - 1):
-        for seen, (copies, bm) in enumerate(_floor_profiles(n, floor), 1):
-            if (bm or seen & 255 == 0) and time.monotonic() > deadline:
-                interrupted = True
-                break
-            nodes += copies
-            if bm:
-                # the empty columns sit at the top, so the least relabeling
-                # permutes only the coordinates below them
-                forms.append(_min_relabeling(bm, (bm.bit_length() - 1).bit_length()))
-    else:
-        for size, bm in _below_k_maximal(n, k, mode):
-            if size > floor:
-                break
-            nodes += 1
-            if nodes & 255 == 0 and time.monotonic() > deadline:
-                interrupted = True
-                break
-            if bm and _is_min_relabeling(bm, n):
-                forms.append(bm)
+    walk = _floor_profiles(n, floor) if floor <= n else _floor_rows(n, floor)
+    for seen, (copies, form) in enumerate(walk, 1):
+        if (form or seen & 255 == 0) and time.monotonic() > deadline:
+            interrupted = True
+            break
+        nodes += copies
+        if form:
+            forms.append(form)
 
     witnesses = tuple(SetFamily(n, bm) for bm in sorted(forms))
     matched = (False,) * len(witnesses)

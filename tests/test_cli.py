@@ -576,6 +576,28 @@ def test_report_checks_search_witnesses(tmp_path, capsys, witness, fault):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "params, result",
+    [
+        ({"n": 3, "k": 3, "mode": "distinct", "budget": 60.0}, {"f": 99, "witnesses": []}),
+        ({"n": 4, "k": 3, "mode": "distinct", "budget": 60.0}, {"f": 7}),
+    ],
+    ids=["empty-witnesses", "no-witnesses"],
+)
+def test_report_checks_f_against_the_floor(tmp_path, capsys, params, result):
+    """The below-k rule makes the floor the minimum, so a search-min
+    record whose f is off it is refused, with no witness to catch it."""
+    ledger = tmp_path / "forged.jsonl"
+    record = {"schema_version": 3, "command": "search-min", "params": params, "result": result}
+    ledger.write_text(json.dumps(record) + "\n")
+    code, out, err = run(capsys, "report", str(ledger), "--no-timestamp")
+    assert code == 1
+    assert f"ledger integrity violation for search-min: f is {result['f']}, not the floor" in err
+    assert out == ""
+    assert not (tmp_path / "forged_f_table.csv").exists()
+    assert not (tmp_path / "forged_linked_cubes_maximality.csv").exists()
+
+
 def test_report_refuses_witnesses_that_are_not_a_list(tmp_path, capsys):
     ledger = tmp_path / "runs.jsonl"
     record = {"command": "search-min", "params": SEARCH_PARAMS, "result": {"f": 2, "witnesses": "0003"}}

@@ -2,11 +2,13 @@
 
 import hashlib
 import itertools
+import operator
 import random
 import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 
 import pytest
@@ -49,7 +51,7 @@ from kwise.bitops import (
 )
 from kwise.core import ReachState, _exact_eps
 from kwise import search
-from kwise.search import _below_k_maximal, _first_below_k_size, _naive_is_maximal
+from kwise.search import _first_below_k_size, _naive_is_maximal
 
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
@@ -389,6 +391,28 @@ def test_canonical_form_cap():
 # --------------------------------------------------- enumerations
 
 
+def _below_k_maximal(n, k, mode):
+    """Families of fewer than k members from the smallest size that can be
+    maximal, each as (size, bitmap if it is maximal, else 0): the row scan
+    by the below-k rule, kept here as a reference for the search's walks.
+
+    The family is maximal when every non-member misses I, the AND of the
+    members, and it passes itself: always in DISTINCT mode, with
+    repetition at one member or I != 0.  Every member contains I, so for
+    I != 0 the first condition says the family is all 2^n - 2^(n - |I|)
+    sets meeting I, which its size decides.
+    """
+    count = 1 << n
+    distinct = mode is KwiseMode.DISTINCT
+    for size in range(_first_below_k_size(n, k, mode), min(k, count + 1)):
+        for combo in itertools.combinations(range(count), size):
+            common = reduce(operator.and_, combo)
+            maximal = (distinct or size == 1 or common) and (
+                not common or size == count - (1 << (n - common.bit_count()))
+            )
+            yield size, sum(1 << m for m in combo) if maximal else 0
+
+
 def test_upset_counts_match_known_lattice_sizes():
     for n, want in [(1, 3), (2, 6), (3, 20), (4, 168), (5, 7581)]:
         ups = enumerate_upsets(n)
@@ -523,7 +547,8 @@ def test_floor_profiles_count_every_labeled_family_once(n, k, classes):
 def every_multiset_profiles(n, size):
     """The column-profile walk without prefix pruning: every sorted
     multiset of n column types is built and tested on its own, yielding
-    (0, 0) when some member order gives it a lower image."""
+    (0, 0) when some member order gives it a lower image, and a maximal
+    family's least relabeling over its support."""
     types = 1 << size
     width = n.bit_length()
     field = width * types + 1
@@ -551,8 +576,12 @@ def every_multiset_profiles(n, size):
                 copies = factorial(n) // stab
                 for x in set(profile):
                     copies //= factorial(profile.count(x))
-                full = profile[-1] == types - 1
-                yield copies, 0 if full else sum(1 << m for m in members)
+                common = profile.count(types - 1)
+                bm = sum(1 << m for m in members)
+                if common and size != (1 << n) - (1 << (n - common)):
+                    yield copies, 0
+                else:
+                    yield copies, _min_relabeling(bm, (bm.bit_length() - 1).bit_length())
                 continue
         yield 0, 0
 
@@ -566,7 +595,7 @@ PROFILE_SIZES = (
 @pytest.mark.parametrize("n,size", PROFILE_SIZES)
 def test_pruned_profiles_match_every_multiset(n, size):
     """Dropping a prefix with a lower image loses no kept multiset: the
-    pruned walk yields the same classes, copies and bitmaps, in the same
+    pruned walk yields the same classes, copies and forms, in the same
     order, as testing every multiset."""
     want = [y for y in every_multiset_profiles(n, size) if y != (0, 0)]
     got = [y for y in search._floor_profiles(n, size) if y != (0, 0)]
@@ -576,11 +605,32 @@ def test_pruned_profiles_match_every_multiset(n, size):
 @pytest.mark.parametrize("n,size", PROFILE_SIZES)
 def test_floor_forms_need_only_the_support(n, size):
     """A profile's copy puts its empty columns at the top, so its least
-    relabeling over the coordinates below them is its least overall."""
-    for _, bm in search._floor_profiles(n, size):
-        if bm:
-            support = (bm.bit_length() - 1).bit_length()
-            assert _min_relabeling(bm, support) == _min_relabeling(bm, n)
+    relabeling over the coordinates below them, the form the walk yields,
+    is its least overall."""
+    for _, form in search._floor_profiles(n, size):
+        if form:
+            assert form == _min_relabeling(form, n)
+
+
+@pytest.mark.parametrize(
+    "n,size",
+    [(n, s) for n in (1, 2, 3) for s in range(1, (1 << n) + 1)] + [(4, s) for s in range(1, 6)],
+)
+def test_floor_rows_match_the_naive_filter(n, size):
+    """The row scan yields once per labeled family of `size` distinct
+    members, and its forms are, once each, the canonical forms of the
+    families the naive oracle finds maximal at k = size + 1."""
+    got = list(search._floor_rows(n, size))
+    assert len(got) == comb(1 << n, size)
+    assert {copies for copies, _ in got} == {1}
+    want = {
+        canonical_form(SetFamily.from_masks(n, combo)).bitmap
+        for combo in itertools.combinations(range(1 << n), size)
+        if _naive_is_maximal(n, list(combo), size + 1, DISTINCT)
+    }
+    forms = [form for _, form in got if form]
+    assert len(forms) == len(set(forms))
+    assert set(forms) == want
 
 
 @pytest.mark.parametrize(
@@ -589,20 +639,22 @@ def test_floor_forms_need_only_the_support(n, size):
         (4, 4, "_floor_profiles"),
         (4, 5, "_floor_profiles"),
         (5, 5, "_floor_profiles"),
-        (4, 6, "_below_k_maximal"),
-        (2, 3, "_below_k_maximal"),
+        (2, 3, "_floor_profiles"),
+        (1, 2, "_floor_profiles"),
+        (4, 6, "_floor_rows"),
+        (1, 3, "_floor_rows"),
     ],
 )
 def test_search_walk_switches_at_floor_n(monkeypatch, n, k, walk):
-    """Floors up to n walk column profiles, floor n + 1 scans rows, and so
-    does floor 2^(n - 1), where the profiles' maximality rule fails; both
-    walks give one canonical form per class of the exhaustive listing's
-    minimum."""
+    """Floors up to n walk column profiles, floor n + 1 on scans rows, and
+    floor 2^(n - 1) at n <= 2, where a maximal family has common
+    elements, walks profiles too; both walks give one canonical form per
+    class of the exhaustive listing's minimum."""
     families = enumerate_maximal_families(n, k, DISTINCT)
     f = min(len(fam) for fam in families)
     want = sorted({canonical_form(fam).bitmap for fam in families if len(fam) == f})
     calls = []
-    for name in ("_floor_profiles", "_below_k_maximal"):
+    for name in ("_floor_profiles", "_floor_rows"):
         real = getattr(search, name)
         monkeypatch.setattr(search, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     report = search_min(SearchConfig(n=n, k=k))
@@ -702,6 +754,17 @@ def test_search_budget_covers_the_floor_walk():
     budget = 0.2
     report = search_min(SearchConfig(n=7, k=6, budget=budget))
     assert not report.optimal
+    assert report.elapsed < budget + 0.25
+
+
+def test_search_budget_covers_the_row_scan():
+    # (5, 9) scans C(32, 8) = 10,518,300 labeled families of floor 8, some
+    # minutes of work; the budget is read every 256 of them
+    budget = 0.05
+    report = search_min(SearchConfig(n=5, k=9, budget=budget))
+    assert not report.optimal
+    assert report.f_value == report.lower_bound == 8
+    assert report.nodes_explored < comb(32, 8)
     assert report.elapsed < budget + 0.25
 
 
