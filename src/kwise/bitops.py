@@ -125,20 +125,18 @@ def _maximal_members(bm: int, n: int) -> int:
 
 @lru_cache(maxsize=32)
 def _swap_table(n: int) -> List[List[Tuple[int, int]]]:
-    # swaps[b][a]: shift and selection mask of the exchange of a < b
+    """Exchanging coordinates a < b is one delta swap of the whole bitmap:
+    the indices with bit a set and bit b clear trade places with those
+    2^b - 2^a above, so swaps[b][a] holds that shift and the selection
+    mask."""
     clear = [_clear_bit_pattern(n, i) for i in range(n)]
     return [[((1 << b) - (1 << a), clear[b] & ~clear[a]) for a in range(b)] for b in range(n)]
 
 
-def _swaps_and_twins(bitmap: int, n: int) -> Tuple[List[List[Tuple[int, int]]], List[int]]:
-    """The swap table of n coordinates and the twin classes of a bitmap.
-
-    Exchanging coordinates a < b is one delta swap of the whole bitmap:
-    the indices with bit a set and bit b clear trade places with those
-    2^b - 2^a above, so swaps[b][a] holds that shift and the selection
-    mask.  Coordinates are twins when their swap moves nothing; classes[b]
-    is the least coordinate twinned with b.
-    """
+def _twin_classes(bitmap: int, n: int) -> List[int]:
+    """The twin classes of a bitmap's n coordinates: coordinates are twins
+    when their swap moves nothing, and classes[b] is the least coordinate
+    twinned with b."""
     swaps = _swap_table(n)
     classes = list(range(n))
     reps: List[int] = []
@@ -150,7 +148,7 @@ def _swaps_and_twins(bitmap: int, n: int) -> Tuple[List[List[Tuple[int, int]]], 
                 break
         else:
             reps.append(b)
-    return swaps, classes
+    return classes
 
 
 def _place_class(bm: int, free: List[int], c: int, swaps: List) -> Tuple[int, List[int]]:
@@ -212,12 +210,12 @@ def _relabeling_bound(bm: int, n: int, m: int, best: Optional[int] = None) -> in
     return bound
 
 
-# Nodes with at most TAIL free coordinates bound no children: Heap's walk
-# finishes them once those coordinates hold at most one twin pair.  4
-# beats 5 threefold on 64 random masks at n = 8, where the finer blocks of
-# m = 4 first prune, and ties it on sparse families; 5 is up to a fifth
-# faster on twin-free symmetric families such as the Fano plane.
-TAIL = 4
+# Nodes with at most _TAIL free positions are finished by Heap's walk.
+# Per call, best of 5 on a shared 2-vCPU VM, _TAIL = 3/4/5 take
+# 1.45/1.36/2.45 ms on families of 64 random masks at n = 8, 2.61/1.39/
+# 1.06 ms on the Fano plane and 0.16/0.13/0.20 ms on relabeled linked
+# cubes at n = 8: 5 wins only on twin-free symmetric families.
+_TAIL = 4
 
 
 def _min_relabeling(bitmap: int, n: int) -> int:
@@ -225,26 +223,24 @@ def _min_relabeling(bitmap: int, n: int) -> int:
 
     Twins are interchangeable, so a relabeling depends only on which twin
     class sits at each position.  A depth-first branch and bound fills
-    positions from the top, one child per twin class, placed with one
-    delta swap; a child is dropped, or a node skipped when popped, once
-    `_relabeling_bound` shows that no arrangement of its m free
-    coordinates beats the least bitmap found so far.  Children are
-    explored least bound first.  A node with at most TAIL free
-    coordinates branches on twin classes, unbounded, until those hold at
-    most one twin pair, and Heap's walk finishes it.  Symmetric families
-    without twins can defeat the bound, so the worst case stays factorial
-    in n.
+    positions from the top.  A node with at most _TAIL free positions is
+    finished by Heap's walk over them; a larger one has one child per
+    twin class of its free positions, placed with one delta swap.  A
+    child is dropped, or skipped when popped, once `_relabeling_bound`
+    shows that no arrangement of its free positions beats the least
+    bitmap found so far, and children are explored least bound first.
+    Symmetric families without twins can defeat the bound, so the worst
+    case stays factorial in n.
     """
-    swaps, classes = _swaps_and_twins(bitmap, n)
+    swaps = _swap_table(n)
     best = bitmap
-    stack = [(0, bitmap, classes)]
+    stack = [(0, bitmap, _twin_classes(bitmap, n))]
     while stack:
         bound, bm, free = stack.pop()
         if bound >= best:
             continue
         m = len(free)
-        kinds = set(free)
-        if m <= TAIL and m - len(kinds) <= 1:
+        if m <= _TAIL:
             if bm < best:
                 best = bm
             for shift, pat in _heap_order(n, m):
@@ -254,10 +250,10 @@ def _min_relabeling(bitmap: int, n: int) -> int:
                     best = bm
             continue
         children = {}
-        for c in kinds:
+        for c in set(free):
             child, rest = _place_class(bm, free, c, swaps)
             if child not in children:
-                low = _relabeling_bound(child, n, m - 1, best) if m > TAIL else 0
+                low = _relabeling_bound(child, n, m - 1, best)
                 if low < best:
                     children[child] = (low, child, rest)
         stack.extend(sorted(children.values(), key=itemgetter(0), reverse=True))
@@ -296,17 +292,6 @@ def _heap_order(n: int, m: int) -> Tuple[Tuple[int, int], ...]:
         steps.append(swaps[i][c[i] if i & 1 else 0])
         c[i] += 1
     return tuple(steps)
-
-
-def _heap_walk(bitmap: int, m: int, swaps: List) -> Iterator[int]:
-    """The m! relabelings of a bitmap under permutations of its lowest m
-    coordinates, in Heap's order: each one is the one before with two
-    coordinates exchanged.  swaps is `_swap_table(n)`."""
-    yield bitmap
-    for shift, pat in _heap_order(len(swaps), m):
-        moved = (bitmap ^ (bitmap >> shift)) & pat
-        bitmap ^= moved ^ (moved << shift)
-        yield bitmap
 
 
 def project_intersect_bits(bm: int, keep: int, n: int) -> int:

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any, Dict, Tuple
 
 from .bitops import (
-    _is_min_relabeling,
     check_ground,
     family_full_bitmap,
     iter_bits,
@@ -59,6 +58,7 @@ from .search import (
     SearchConfig,
     _first_below_k_size,
     audit_claim_counts,
+    canonical_form,
     search_min,
 )
 
@@ -254,7 +254,7 @@ def _search_fault(n: int, k: int, mode: KwiseMode, result: Dict[str, Any]) -> st
             return f"witness {text!r} does not have f members"
         if not ReachState.of(fam, k, mode).maximal():
             return f"witness {text!r} is not maximal"
-        if not _is_min_relabeling(fam.bitmap, n):
+        if canonical_form(fam) != fam:
             return f"witness {text!r} is not a canonical form"
     return None
 

@@ -59,8 +59,8 @@ def pair_of_cubes(n: int, s: int) -> SetFamily:
 
 def linked_cubes_size(n: int, block_size: int) -> int:
     """Closed-form size of linked_cubes for any block of the given size."""
-    if not 0 < block_size < n:
-        raise ValueError("block size must satisfy 0 < size < n")
+    if type(n) is not int or type(block_size) is not int or not 0 < block_size < n:
+        raise ValueError("block size must be an int with 0 < size < n")
     return (1 << (n - block_size)) + (1 << block_size) - 3
 
 
@@ -96,8 +96,9 @@ class Partition:
     @classmethod
     def contiguous(cls, n: int, parts: int) -> "Partition":
         """Split {1..n} into the given number of near-equal contiguous blocks."""
-        if not 1 <= parts <= n:
-            raise ValueError("part count out of range")
+        check_ground(n)
+        if type(parts) is not int or not 1 <= parts <= n:
+            raise ValueError("part count must be an int in 1..n")
         base, extra = divmod(n, parts)
         blocks: List[int] = []
         start = 0
@@ -128,13 +129,13 @@ def janzer_size(n: int, k: int) -> int:
     Defined for k >= 3 with k-1 dividing n; the k = 3 case degenerates to
     the balanced linked-cubes size at even n.
     """
-    if k < 3:
-        raise ValueError("k must be at least 3")
+    if type(k) is not int or k < 3:
+        raise ValueError("k must be an int at least 3")
     _require_divisible(n, k - 1, "k-1")
     lead = (k - 1) * (1 << (k - 3)) * (1 << (n // (k - 1)))
     return lead - (k - 2) * ((1 << (k - 1)) - 1)
 
 
 def _require_divisible(n: int, d: int, label: str) -> None:
-    if d <= 0 or n % d != 0:
+    if type(n) is not int or type(d) is not int or d <= 0 or n % d != 0:
         raise ValueError(f"{label} must divide n exactly (n={n}, divisor={d})")

@@ -154,8 +154,8 @@ def stability_stats(
     _check_same_ground(x_family, y_family)
     n = x_family.n
     check_element(elem, n)
-    if not 0 <= ell <= n:
-        raise ValueError(f"ell must lie in 0..{n}, got {ell}")
+    if type(ell) is not int or not 0 <= ell <= n:
+        raise ValueError(f"ell must be an int in 0..{n}, got {ell!r}")
     if len(x_family) == 0 or len(y_family) == 0:
         raise ValueError("stability statistics need nonempty families")
     graph = build_bipartite(x_family, y_family)

@@ -37,6 +37,8 @@ from kwise.bitops import full_mask
 from kwise.cli import main as cli_main
 from kwise.search import _naive_is_kwise, _naive_is_maximal
 
+from helpers import brute_force_max_cut
+
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
 
@@ -193,15 +195,6 @@ def test_criterion_08_f_xy_grid_maximum():
                 argmax.append((x, y))
     assert best == top
     assert argmax == [(Fraction(1, 3), Fraction(1, 3))]
-
-
-def brute_force_max_cut(m, edges):
-    best = 0
-    for asg in range(1 << max(m - 1, 0)):
-        asg <<= 1  # vertex 0 pinned to the left side
-        cut = sum(1 for u, v in edges if ((asg >> u) ^ (asg >> v)) & 1)
-        best = max(best, cut)
-    return best
 
 
 def test_criterion_09_bipartization_oracle():

@@ -7,6 +7,7 @@ import pytest
 from kwise import (
     KwiseMode,
     Partition,
+    SetFamily,
     balanced_block,
     complement_family,
     is_k_wise_intersecting,
@@ -17,8 +18,9 @@ from kwise import (
     pair_of_cubes,
     series_of_cubes,
     series_of_cubes_size,
+    stability_stats,
 )
-from kwise.bitops import full_mask
+from kwise.bitops import cube_bits, full_mask
 
 
 def test_linked_cubes_membership_bruteforce():
@@ -62,6 +64,37 @@ def test_linked_cubes_validation():
         linked_cubes(3, 0b111)
     with pytest.raises(ValueError):
         linked_cubes(3, 1 << 3)
+
+
+CUBE = SetFamily(3, cube_bits(0b011))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linked_cubes_size(5, 2.5),
+        lambda: linked_cubes_size(5.0, 2),
+        lambda: Partition.contiguous(4, 1.5),
+        lambda: Partition.contiguous(4.0, 2),
+        lambda: series_of_cubes_size(5, 2.5),
+        lambda: series_of_cubes_size(4.0, 2),
+        lambda: janzer_size(5, 3.5),
+        lambda: janzer_size(4.0, 3),
+        lambda: stability_stats(CUBE, CUBE, 1.5, 1),
+        lambda: stability_stats(CUBE, CUBE, True, 1),
+        lambda: Partition.contiguous(4, True),
+    ],
+    ids=[
+        "linked-size", "linked-n", "contiguous-parts", "contiguous-n", "series-parts",
+        "series-n", "janzer-k", "janzer-n", "stability-ell", "stability-ell-bool",
+        "contiguous-bool",
+    ],
+)
+def test_size_arguments_must_be_ints(call):
+    """A float or a bool size is refused like an out-of-range one, as
+    check_element refuses a bool label."""
+    with pytest.raises(ValueError):
+        call()
 
 
 @pytest.mark.parametrize("block_size", [0, 3, -1])

@@ -32,6 +32,8 @@ from kwise.bitops import down_close_bits, iter_bits, up_close_bits
 from kwise.core import ReachState
 from kwise.search import _naive_addable, _naive_is_kwise
 
+from helpers import families
+
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
 
@@ -59,13 +61,6 @@ def naive_maximal(n, members, k, mode):
         if naive_kwise(members + [g], k, mode):
             return False
     return True
-
-
-@st.composite
-def families(draw, max_n=4):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    bm = draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
-    return SetFamily(n, bm)
 
 
 # ---------------------------------------------------------------- model

@@ -25,12 +25,7 @@ from kwise import (
 from kwise.bitops import cube_bits
 from kwise.disjointness import MAX_EXACT_CUT_VERTICES, _exact_max_cut
 
-
-@st.composite
-def families(draw, max_n=4):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    bm = draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
-    return SetFamily(n, bm)
+from helpers import brute_force_max_cut, families
 
 
 # ----------------------------------------------------------- graphs
@@ -121,15 +116,6 @@ def test_f_xy_values():
 
 
 # --------------------------------------------------- bipartization
-
-
-def brute_max_cut(m, edges):
-    best = 0
-    for asg in range(1 << max(m - 1, 0)):
-        asg <<= 1
-        cut = sum(1 for u, v in edges if ((asg >> u) ^ (asg >> v)) & 1)
-        best = max(best, cut)
-    return best
 
 
 def cut_value(assignment, edges):
@@ -331,7 +317,7 @@ def test_bipartization_exact_matches_brute(fam):
     g = build_graph(fam)
     edges = list(g.edges())
     res = min_bipartization(g)
-    assert res.deleted == len(edges) - brute_max_cut(len(g.left), edges)
+    assert res.deleted == len(edges) - brute_force_max_cut(len(g.left), edges)
     # the reported split is consistent with the deletion count
     sides = {m: 0 for m in res.left_masks}
     sides.update({m: 1 for m in res.right_masks})

@@ -22,6 +22,8 @@ from kwise import (
 )
 from kwise.bitops import down_close_bits
 
+from helpers import families
+
 
 def naive_coverage(members, k):
     """Unions of 1..k pairwise disjoint distinct members, by enumeration."""
@@ -31,13 +33,6 @@ def naive_coverage(members, k):
             if all(a & b == 0 for a, b in itertools.combinations(combo, 2)):
                 covered.add(reduce(or_, combo))
     return covered
-
-
-@st.composite
-def families(draw, max_n=4):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    bm = draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
-    return SetFamily(n, bm)
 
 
 def test_coverage_of_empty_set_family():

@@ -255,8 +255,8 @@ def test_balanced_linked_cubes_keep_r2_sparse(n):
 
 
 def co_singletons(n):
-    full = (1 << n) - 1
-    return [full ^ (1 << i) for i in range(n)]
+    """The masks of the n sets that miss exactly one point."""
+    return [((1 << n) - 1) ^ (1 << i) for i in range(n)]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -436,16 +436,11 @@ def test_below_k_a_state_is_the_common_intersection(fam, k, mode, rng):
         check(state, members[: i + 1])
 
 
-def co_singletons(n):
-    """The n sets that miss exactly one point."""
-    return SetFamily.from_masks(n, [((1 << n) - 1) ^ (1 << i) for i in range(n)])
-
-
 def test_a_huge_k_costs_only_the_layers_the_family_fills():
     # every layer of the n co-singletons goes dense; a layer per possible
     # collection size would zero-fill 2^18 + 1 bitmaps of 2^18 bits
     start = time.perf_counter()
-    state = ReachState.of(co_singletons(18), 10**9)
+    state = ReachState.of(SetFamily.from_masks(18, co_singletons(18)), 10**9)
     assert state.intersecting() and state.addable() != 0
     assert time.perf_counter() - start < 2
 

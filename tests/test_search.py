@@ -38,12 +38,10 @@ from kwise import (
     verify_maximal_generator_correspondence,
 )
 from kwise.bitops import (
-    _heap_walk,
+    _heap_order,
     _is_min_relabeling,
     _min_relabeling,
     _relabeling_bound,
-    _swap_table,
-    _swaps_and_twins,
     cube_bits,
     full_mask,
     supercube_bits,
@@ -174,6 +172,18 @@ def heap_order(n):
     return perms
 
 
+def heap_walk(bitmap, n, m):
+    """The m! relabelings of an n-coordinate bitmap under permutations of
+    its lowest m coordinates, stepped through by the delta swaps of
+    `_heap_order`: each one is the one before with two coordinates
+    exchanged."""
+    yield bitmap
+    for shift, pat in _heap_order(n, m):
+        moved = (bitmap ^ (bitmap >> shift)) & pat
+        bitmap ^= moved ^ (moved << shift)
+        yield bitmap
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_relabelings_are_the_permuted_copies(n):
     """Heap's walk over all n coordinates yields exactly the permuted
@@ -189,7 +199,7 @@ def test_relabelings_are_the_permuted_copies(n):
     for bm in bitmaps:
         fam = SetFamily(n, bm)
         want = {relabel(fam, perm).bitmap for perm in itertools.permutations(range(n))}
-        assert set(_heap_walk(bm, n, _swap_table(n))) == want
+        assert set(heap_walk(bm, n, n)) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -197,7 +207,7 @@ def test_twin_free_walk_is_heaps_order(n):
     """A family without twins is walked over all n! permutations, in Heap's order."""
     chain = SetFamily.from_masks(n, [(1 << i) - 1 for i in range(1, n)] or [1])
     assert twin_class_sizes(chain) == [1] * n
-    assert list(_heap_walk(chain.bitmap, n, _swap_table(n))) == [
+    assert list(heap_walk(chain.bitmap, n, n)) == [
         relabel(chain, perm).bitmap for perm in heap_order(n)
     ]
 
@@ -243,7 +253,7 @@ def test_bounded_search_is_least_relabeling_up_to_n6(case):
 def test_bounded_search_matches_the_walk_at_n7_and_n8(case):
     n, masks = case
     fam = SetFamily.from_masks(n, masks)
-    assert canonical_form(fam).bitmap == min(_heap_walk(fam.bitmap, n, _swap_table(n)))
+    assert canonical_form(fam).bitmap == min(heap_walk(fam.bitmap, n, n))
 
 
 def graph_family(n, edges):
@@ -270,12 +280,12 @@ PETERSEN_EDGES = (
 def test_bounded_search_on_twin_free_symmetric_families(fam):
     """Many relabelings tie and no twins cut the tree; the least is still the walk's."""
     assert twin_class_sizes(fam) == [1] * fam.n
-    assert canonical_form(fam).bitmap == min(_heap_walk(fam.bitmap, fam.n, _swap_table(fam.n)))
+    assert canonical_form(fam).bitmap == min(heap_walk(fam.bitmap, fam.n, fam.n))
 
 
 def test_canonical_form_of_the_petersen_graph_is_quick():
-    """The walk takes about 1.8 s over the 10! relabelings; the bound
-    leaves fewer than a thousand nodes of 4 free coordinates to walk."""
+    """Twins do not cut the 10! relabelings, but the bound leaves fewer
+    than a thousand nodes of `_TAIL` free positions for Heap's walk."""
     fam = graph_family(10, PETERSEN_EDGES)
     perm = tuple(random.Random(10).sample(range(10), 10))
     start = time.perf_counter()
@@ -301,8 +311,7 @@ def test_relabeling_bound_is_sound(case):
     and is the bitmap itself at m = 0.  Stopped early against best, it is
     still a bound and still falls on the same side of best."""
     n, m, bm, best = case
-    swaps, _ = _swaps_and_twins(bm, n)
-    least = min(_heap_walk(bm, m, swaps))
+    least = min(heap_walk(bm, n, m))
     bound = _relabeling_bound(bm, n, m)
     assert bound <= least
     assert m > 0 or bound == bm
@@ -320,7 +329,7 @@ def strike_off(n, found):
 
 def every_copy(fams):
     """Every labeled copy of the families, each once, as the scan meets them."""
-    return {bm for fam in fams for bm in _heap_walk(fam.bitmap, fam.n, _swap_table(fam.n))}
+    return {bm for fam in fams for bm in heap_walk(fam.bitmap, fam.n, fam.n)}
 
 
 @pytest.mark.parametrize("seed", range(12))
