@@ -260,18 +260,6 @@ def _min_relabeling(bitmap: int, n: int) -> int:
     return best
 
 
-def _is_min_relabeling(bitmap: int, n: int) -> bool:
-    """Whether a family bitmap is the least of its relabelings.  An exchange
-    of adjacent coordinates is itself one, and lowers the bitmap when the
-    members it moves down outweigh those it moves up; a bitmap that none of
-    the n - 1 exchanges lowers takes the branch and bound."""
-    for row in _swap_table(n)[1:]:
-        shift, pat = row[-1]  # row b ends with the exchange of b - 1 and b
-        if (bitmap >> shift) & pat > bitmap & pat:
-            return False
-    return _min_relabeling(bitmap, n) == bitmap
-
-
 @lru_cache(maxsize=64)
 def _heap_order(n: int, m: int) -> Tuple[Tuple[int, int], ...]:
     """Heap's order ("Permutations by interchanges", 1963) over the lowest

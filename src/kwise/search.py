@@ -4,9 +4,9 @@ search_min answers, exactly, how small a maximal k-wise intersecting
 family on n elements can be.  Families below the distinctness threshold
 (fewer than k members) are decided by their common intersection, as
 core.ReachState decides them.  The smallest size that can be maximal
-there, the floor, always is, so the floor is the minimum, and the
-witnesses are the canonical forms of the floor's maximal families.  An
-oracle built from first principles re-derives the answer at tiny n.
+there, the floor, always is, so the floor is the minimum, and one
+orderly walk gives the canonical forms of the floor's maximal families
+as witnesses.  An oracle from first principles checks it at tiny n.
 
 The second half of the module holds the counting tools used to audit
 size bounds around a paired-cube split: the three-way partition of a
@@ -40,7 +40,6 @@ from functools import reduce
 from typing import Iterator, List, Tuple
 
 from .bitops import (
-    _is_min_relabeling,
     _min_relabeling,
     check_ground,
     check_mask,
@@ -124,108 +123,122 @@ def _floor_maximal(n: int, size: int, common: int) -> bool:
     return not common or size == (1 << n) - (1 << (n - common))
 
 
-def _floor_rows(n: int, size: int) -> Iterator[Tuple[int, int]]:
-    """Every labeled family of `size` distinct members on n elements, each
-    as (1, bitmap if it is maximal and the least of its relabelings,
-    else 0)."""
-    for combo in itertools.combinations(range(1 << n), size):
-        common = reduce(operator.and_, combo)
-        if not common or _floor_maximal(n, size, common.bit_count()):
-            bm = sum(1 << m for m in combo)
-            if _is_min_relabeling(bm, n):
-                yield 1, bm
-                continue
-        yield 1, 0
+def _orderly(length: int, bits: int, distinct: bool) -> Iterator[Tuple[List[int], int]]:
+    """Sorted sequences of `length` values below 2^bits, one per orbit of
+    the bits! bit permutations: multisets, or sets when `distinct`.  A
+    kept one yields (sequence, |stab|), stab the orders fixing it, in a
+    list the next yield reuses, and a dropped prefix (sequence, 0).
 
-
-def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
-    """Families of `size` distinct members on n elements, one per class,
-    as column profiles: each profile yields (labeled copies, canonical
-    form if maximal, else 0), and (0, 0) when it, or a prefix of it,
-    stands for no new class.
-
-    Coordinate i has type x when bit j of x says whether i lies in member
-    j, so a family up to relabeling is a multiset of n types, and its
-    classmates are the images of the multiset under the size! orders of
-    the members.  A multiset is kept only when no image sorts lower, the
-    orderly generation of Read ("Every one a winner", 1978) and McKay
-    ("Isomorph-free exhaustive generation", 1998).  Sorted multisets of
-    one length compare as their counts of type 0, 1, ... in turn, more
-    first, so a multiset is keyed by its counts as digits, and an image
-    key is a sum of per-type weights.  The keys of every order sit in
-    fields of one int, identity first, each with a guard bit; subtracting
-    them from copies of the multiset's own key leaves a field's guard set
-    exactly when its image is no lower.  The i-th least type of an image
-    of a multiset is at most that of the image of any part of it, so a
-    prefix with a lower image has extensions with lower images only: the
-    walk grows sorted prefixes depth-first, in the order of
-    combinations_with_replacement, and drops a failing one with all its
-    extensions (Read's prefix property).  A kept class has
-    n! / (prod of count! * |stab|) labeled copies, stab holding the
-    orders whose image is the multiset itself.  The coordinates of the
-    all-ones type are the family's common elements, which decide whether
-    it is maximal (_floor_maximal).  Columns in fewer members go higher,
-    so the empty ones sit at the top, and the canonical form permutes
-    only the coordinates below them: the copy is then often its class's
-    least, which the branch and bound proves sooner than it finds it.
+    A sequence is kept when no image sorts lower, the orderly generation
+    of Read ("Every one a winner", 1978) and McKay ("Isomorph-free
+    exhaustive generation", 1998).  Sorted sequences of one length
+    compare as their counts of value 0, 1, ... in turn, more first, so a
+    sequence is keyed by its counts as digits, one digit per value.  Each
+    order has a byte-aligned field of one int, identity first, holding a
+    guard bit plus the sequence's own key less its image's, so the guard
+    stays set exactly when the image is no lower.  An image of a prefix
+    that sorts lower gives lower images of all its extensions (Read's
+    prefix property), so the depth-first walk drops the prefix, and it
+    stops a branch once too few values are left.
     """
-    types = 1 << size
-    width = n.bit_length()  # a count digit of up to n
-    field = width * types + 1
-    orders = list(itertools.permutations(range(size)))
-    weights = [
-        sum(
-            1 << width * (types - 1 - sum((x >> j & 1) << p[j] for j in range(size))) + field * i
-            for i, p in enumerate(orders)
-        )
-        for x in range(types)
-    ]
-    own = (1 << field) - 1
-    ones = sum(1 << field * i for i in range(len(orders)))
-    guards = ones << (field - 1)
-    # a type's column of every member, member j at bit n * j
-    columns = [sum((x >> j & 1) << n * j for j in range(size)) for x in range(types)]
-    ground = full_mask(n)
-    full = types - 1
-    fact = [math.factorial(i) for i in range(n + 1)]
-    # the prefix tested is profile[:depth] + [x], and sums[d] holds the
-    # keys of profile[:d]
-    profile = [0] * n
-    sums = [0] * n
+    orders = list(itertools.permutations(range(bits)))
+    if not length:
+        yield [], len(orders)
+        return
+    types = 1 << bits
+    width = 1 if distinct else length.bit_length()  # a count digit
+    nbytes = width * types // 8 + 1  # per field, the guard bit on top
+    # images[x][i] is the image of x under order i, bit j going to bit p[j]
+    images = [[0] * len(orders)]
+    for j in range(bits):
+        low = [1 << p[j] for p in orders]
+        images += [list(map(operator.or_, img, low)) for img in images]
+    digit = [(1 << width * (types - 1 - y)).to_bytes(nbytes, "little") for y in range(types)]
+
+    def pack(values):  # field i holds the key digit of values[i]
+        return int.from_bytes(b"".join(map(digit.__getitem__, values)), "little")
+    deltas = [pack([x] * len(orders)) - pack(img) for x, img in enumerate(images)]
+    ones = pack([types - 1] * len(orders))
+    guards = ones << (8 * nbytes - 1)
+    last = length - 1
+    step = 1 if distinct else 0  # a set's value at depth d leaves room for last - d more
+    ends = [types - step * (last - d) for d in range(length)]
+    # the prefix tested is seq[:depth] + [x], and sums[d] holds the fields of seq[:d]
+    seq, sums = [0] * length, [guards] * length
     depth = x = 0
     while True:
-        if x == types:
+        if x == ends[depth]:
             depth -= 1
             if depth < 0:
                 return
-            x = profile[depth] + 1
+            x = seq[depth] + 1
             continue
-        keys = sums[depth] + weights[x]
-        mine = (keys & own) * ones
-        if (mine | guards) - keys & guards != guards:
-            yield 0, 0
+        fields = sums[depth] + deltas[x]
+        if fields & guards != guards:
+            yield seq, 0
             x += 1
             continue
-        profile[depth] = x
-        if depth < n - 1:
+        seq[depth] = x
+        if depth < last:
             depth += 1
-            sums[depth] = keys
+            sums[depth] = fields
+            x += step
             continue
         x += 1
-        # a field of keys ^ mine is 0 exactly when its image ties
-        stab = len(orders) - (((keys ^ mine) | guards) - ones & guards).bit_count()
-        placed = sorted(profile, key=int.bit_count, reverse=True)
-        rows = sum(columns[t] << i for i, t in enumerate(placed))
-        members = {rows >> n * j & ground for j in range(size)}
-        if len(members) == size:
-            copies = fact[n] // stab
-            for t in set(profile):
-                copies //= fact[profile.count(t)]
-            maximal = _floor_maximal(n, size, profile.count(full))
-            bm = sum(1 << m for m in members) if maximal else 0
-            yield copies, bm and _min_relabeling(bm, (bm.bit_length() - 1).bit_length())
-        else:
+        # a field is the bare guard exactly when its image ties
+        yield seq, len(orders) - (((fields ^ guards) | guards) - ones & guards).bit_count()
+
+
+def _floor_profiles(n: int, size: int) -> Iterator[Tuple[int, int]]:
+    """Families of `size` distinct members on n elements by the columns
+    view of `_orderly`: each class yields (labeled copies, canonical form
+    if maximal, else 0), and any other yield is (0, 0).  Coordinate i has
+    type x when bit j of x says whether i lies in member j, so a family
+    up to relabeling is a multiset of n types, its classmates are its
+    images under the size! member orders, and a class has
+    n! / (prod of count! * |stab|) labeled copies.  The all-ones type
+    marks the common elements.  The empty columns are placed at the top,
+    so the canonical form permutes only the support.
+    """
+    types = 1 << size
+    # a type's column of every member, member j at bit n * j
+    columns = [sum((x >> j & 1) << n * j for j in range(size)) for x in range(types)]
+    ground = full_mask(n)
+    fact = [math.factorial(i) for i in range(n + 1)]
+    for profile, stab in _orderly(n, size, False):
+        if stab:
+            placed = sorted(profile, key=int.bit_count, reverse=True)
+            rows = sum(columns[t] << i for i, t in enumerate(placed))
+            members = {rows >> n * j & ground for j in range(size)}
+            if len(members) == size:
+                copies = fact[n] // stab
+                for t in set(profile):
+                    copies //= fact[profile.count(t)]
+                maximal = _floor_maximal(n, size, profile.count(types - 1))
+                bm = sum(1 << m for m in members) if maximal else 0
+                yield copies, bm and _min_relabeling(bm, (bm.bit_length() - 1).bit_length())
+                continue
+        yield 0, 0
+
+
+def _floor_rows(n: int, size: int) -> Iterator[Tuple[int, int]]:
+    """The yields of `_floor_profiles` by the rows view of `_orderly`: a
+    family is a set of `size` masks with n! / |stab| labeled copies, its
+    images under the relabelings.  A set of over 2^(n - 1) masks has no
+    common element and is walked as its complement, of equal stabilizer.
+    No kept set has a used coordinate above an empty one (exchanging the
+    two lowers every member that moves), so forms permute the support.
+    """
+    flip = size > 1 << (n - 1)
+    every = family_full_bitmap(n) if flip else 0
+    fact = math.factorial(n)
+    for masks, stab in _orderly(min(size, (1 << n) - size), n, True):
+        if not stab:
             yield 0, 0
+            continue
+        maximal = flip or _floor_maximal(n, size, reduce(operator.and_, masks).bit_count())
+        bm = sum(1 << m for m in masks) ^ every if maximal else 0
+        yield fact // stab, bm and _min_relabeling(bm, (bm.bit_length() - 1).bit_length())
 
 
 def enumerate_maximal_families(n: int, k: int, mode: KwiseMode) -> List[SetFamily]:
@@ -305,18 +318,13 @@ def search_min(config: SearchConfig) -> SearchReport:
     Decides the families below the distinctness threshold by their common
     intersection; the floor always holds a maximal one, so the minimum is
     the floor and the witnesses are the canonical forms of the floor's
-    maximal families.  Up to floor n the classes come one each from the
-    column profiles of _floor_profiles, which test floor! member orders
-    per profile prefix.  From floor n + 1 on, where those orders
-    outnumber the n! relabelings of a row set by n + 1 or more,
-    _floor_rows scans every combination of floor masks and keeps a
-    maximal one when it is the least of its relabelings.  Both walks
-    yield (labeled families decided, canonical form or 0), and one loop
-    adds the families to nodes_explored and keeps the forms, so a
+    maximal families.  One orderly walk lists the floor's classes, in the
+    view that permutes the shorter side: the floor! member orders of
+    column profiles below floor n, else the n! relabelings of row sets.
+    Either yields (labeled families decided, canonical form or 0), so a
     complete run counts C(2^n, floor).  The budget is read every 256
-    yields (a dropped prefix of profiles is one) and after each class's
-    form.  A run cut short by the budget is flagged non-optimal and its
-    witness list may miss classes.
+    yields and after each form; a run it cuts short is flagged
+    non-optimal and its witness list may miss classes.
     """
     start = time.monotonic()
     deadline = start + config.budget
@@ -325,7 +333,7 @@ def search_min(config: SearchConfig) -> SearchReport:
     nodes = 0
     forms: List[int] = []
     interrupted = False
-    walk = _floor_profiles(n, floor) if floor <= n else _floor_rows(n, floor)
+    walk = _floor_profiles(n, floor) if floor < n else _floor_rows(n, floor)
     for seen, (copies, form) in enumerate(walk, 1):
         if (form or seen & 255 == 0) and time.monotonic() > deadline:
             interrupted = True
@@ -447,9 +455,12 @@ def product_bound_terms(
 
     Left side g1*g2 + g3*eps*2^ell, right side (2^ell - 2)(2^(ell+1) - 2).
     Under the audit hypotheses the bound holds with equality exactly when
-    the outside part is empty.
+    the outside part is empty.  The sizes and ell must be ints >= 0.
     """
-    eps = Fraction(eps)
+    for name, value in dict(g1_size=g1_size, g2_size=g2_size, g3_size=g3_size, ell=ell).items():
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+    eps = _exact_eps(eps)
     lhs = Fraction(g1_size * g2_size) + g3_size * eps * (1 << ell)
     rhs = ((1 << ell) - 2) * ((1 << (ell + 1)) - 2)
     return lhs, rhs

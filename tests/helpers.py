@@ -3,6 +3,7 @@
 from hypothesis import strategies as st
 
 from kwise import SetFamily
+from kwise.bitops import _min_relabeling, _swap_table
 
 
 @st.composite
@@ -20,3 +21,15 @@ def brute_force_max_cut(m, edges):
         cut = sum(1 for u, v in edges if ((asg >> u) ^ (asg >> v)) & 1)
         best = max(best, cut)
     return best
+
+
+def is_min_relabeling(bitmap, n):
+    """Whether a family bitmap is the least of its relabelings.  An exchange
+    of adjacent coordinates is itself one, and lowers the bitmap when the
+    members it moves down outweigh those it moves up; a bitmap that none of
+    the n - 1 exchanges lowers takes the branch and bound."""
+    for row in _swap_table(n)[1:]:
+        shift, pat = row[-1]  # row b ends with the exchange of b - 1 and b
+        if (bitmap >> shift) & pat > bitmap & pat:
+            return False
+    return _min_relabeling(bitmap, n) == bitmap

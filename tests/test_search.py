@@ -39,7 +39,6 @@ from kwise import (
 )
 from kwise.bitops import (
     _heap_order,
-    _is_min_relabeling,
     _min_relabeling,
     _relabeling_bound,
     cube_bits,
@@ -50,6 +49,8 @@ from kwise.bitops import (
 from kwise.core import ReachState, _exact_eps
 from kwise import search
 from kwise.search import _first_below_k_size, _naive_is_maximal
+
+from helpers import is_min_relabeling
 
 DISTINCT = KwiseMode.DISTINCT
 REPETITION = KwiseMode.WITH_REPETITION
@@ -324,7 +325,7 @@ def test_relabeling_bound_is_sound(case):
 def strike_off(n, found):
     """The class filter of search_min: a labeled bitmap is kept only when
     it is the least of its relabelings."""
-    return [bm for bm in found if _is_min_relabeling(bm, n)]
+    return [bm for bm in found if is_min_relabeling(bm, n)]
 
 
 def every_copy(fams):
@@ -387,9 +388,9 @@ def test_is_min_relabeling_decides_canonical_forms(case):
     it exactly when canonical_form leaves the bitmap as it is."""
     n, masks, perm = case
     fam = SetFamily.from_masks(n, masks)
-    assert _is_min_relabeling(canonical_form(fam).bitmap, n)
+    assert is_min_relabeling(canonical_form(fam).bitmap, n)
     for copy in (fam, relabel(fam, tuple(perm))):
-        assert _is_min_relabeling(copy.bitmap, n) == (canonical_form(copy) == copy)
+        assert is_min_relabeling(copy.bitmap, n) == (canonical_form(copy) == copy)
 
 
 def test_canonical_form_cap():
@@ -518,7 +519,7 @@ def row_scan(n, k, mode):
         if size > floor:
             break
         nodes += 1
-        if bm and _is_min_relabeling(bm, n):
+        if bm and is_min_relabeling(bm, n):
             forms.append(bm)
     return sorted(forms), nodes
 
@@ -622,16 +623,14 @@ def test_floor_forms_need_only_the_support(n, size):
 
 
 @pytest.mark.parametrize(
-    "n,size",
-    [(n, s) for n in (1, 2, 3) for s in range(1, (1 << n) + 1)] + [(4, s) for s in range(1, 6)],
+    "n,size", [(n, s) for n in (1, 2, 3, 4) for s in range(1, (1 << n) + 1)]
 )
 def test_floor_rows_match_the_naive_filter(n, size):
-    """The row scan yields once per labeled family of `size` distinct
-    members, and its forms are, once each, the canonical forms of the
-    families the naive oracle finds maximal at k = size + 1."""
+    """The rows view's copies add up to every labeled family of `size`
+    distinct members, and its forms are, once each, the canonical forms
+    of the families the naive oracle finds maximal at k = size + 1."""
     got = list(search._floor_rows(n, size))
-    assert len(got) == comb(1 << n, size)
-    assert {copies for copies, _ in got} == {1}
+    assert sum(copies for copies, _ in got) == comb(1 << n, size)
     want = {
         canonical_form(SetFamily.from_masks(n, combo)).bitmap
         for combo in itertools.combinations(range(1 << n), size)
@@ -642,23 +641,35 @@ def test_floor_rows_match_the_naive_filter(n, size):
     assert set(forms) == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_both_views_agree_at_floor_n(n):
+    """At floor n both views of the orderly walk permute n things; they
+    list the same sorted forms and count every labeled family once."""
+    views = []
+    for walk in (search._floor_profiles, search._floor_rows):
+        got = list(walk(n, n))
+        views.append((sorted(form for _, form in got if form), sum(c for c, _ in got)))
+    assert views[0] == views[1]
+    assert views[0][1] == comb(1 << n, n)
+
+
 @pytest.mark.parametrize(
     "n,k,walk",
     [
         (4, 4, "_floor_profiles"),
-        (4, 5, "_floor_profiles"),
+        (4, 5, "_floor_rows"),
         (5, 5, "_floor_profiles"),
-        (2, 3, "_floor_profiles"),
-        (1, 2, "_floor_profiles"),
+        (2, 3, "_floor_rows"),
+        (1, 2, "_floor_rows"),
         (4, 6, "_floor_rows"),
         (1, 3, "_floor_rows"),
     ],
 )
 def test_search_walk_switches_at_floor_n(monkeypatch, n, k, walk):
-    """Floors up to n walk column profiles, floor n + 1 on scans rows, and
-    floor 2^(n - 1) at n <= 2, where a maximal family has common
-    elements, walks profiles too; both walks give one canonical form per
-    class of the exhaustive listing's minimum."""
+    """Floors below n walk column profiles; from floor n on, a tie going
+    to rows, row sets are walked, also at floor 2^(n - 1) for n <= 2,
+    where a maximal family has common elements; both views give one
+    canonical form per class of the exhaustive listing's minimum."""
     families = enumerate_maximal_families(n, k, DISTINCT)
     f = min(len(fam) for fam in families)
     want = sorted({canonical_form(fam).bitmap for fam in families if len(fam) == f})
@@ -767,14 +778,24 @@ def test_search_budget_covers_the_floor_walk():
 
 
 def test_search_budget_covers_the_row_scan():
-    # (5, 9) scans C(32, 8) = 10,518,300 labeled families of floor 8, some
-    # minutes of work; the budget is read every 256 of them
+    # (5, 9) walks the row sets of floor 8, 99,847 classes among
+    # C(32, 8) = 10,518,300 labeled families, about 3 s of work; the
+    # budget is read every 256 yields and before each canonical form
     budget = 0.05
     report = search_min(SearchConfig(n=5, k=9, budget=budget))
     assert not report.optimal
     assert report.f_value == report.lower_bound == 8
     assert report.nodes_explored < comb(32, 8)
     assert report.elapsed < budget + 0.25
+
+
+def test_search_budget_covers_the_weight_table():
+    # (7, 8) weighs 128 values under 5,040 orders before the walk's first
+    # yield; summing each weight term by term took over 20 s
+    start = time.perf_counter()
+    report = search_min(SearchConfig(n=7, k=8, budget=0.2))
+    assert not report.optimal
+    assert time.perf_counter() - start < 1.5
 
 
 def test_search_holds_no_set_of_labeled_copies():
@@ -893,6 +914,23 @@ def test_product_bound_terms_directions():
     # and inflated counts violate the bound, so the check is two sided
     lhs, rhs = product_bound_terms(15, 30, 0, 4, Fraction(1, 8))
     assert lhs > rhs
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((5, 10, 3, 1.5, Fraction(1, 10)), "ell"),
+        ((5, 10, 3, True, Fraction(1, 10)), "ell"),
+        ((5, 10, 3, -1, Fraction(1, 10)), "ell"),
+        ((False, 10, 3, 2, Fraction(1, 10)), "g1_size"),
+        ((5, -10, 3, 2, Fraction(1, 10)), "g2_size"),
+        ((5, 10, 3.0, 2, Fraction(1, 10)), "g3_size"),
+        ((5, 10, 3, 2, float("inf")), "eps"),
+    ],
+)
+def test_product_bound_terms_checks_its_arguments(args, name):
+    with pytest.raises(ValueError, match=name):
+        product_bound_terms(*args)
 
 
 def test_audit_linked_cubes_n9():
