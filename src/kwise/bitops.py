@@ -151,20 +151,6 @@ def _twin_classes(bitmap: int, n: int) -> List[int]:
     return classes
 
 
-def _place_class(bm: int, free: List[int], c: int, swaps: List) -> Tuple[int, List[int]]:
-    """Put a coordinate of twin class c at the top free position, with one
-    delta swap, and return the bitmap and the classes left below it."""
-    p = len(free) - 1
-    rest = free[:p]
-    if free[p] == c:
-        return bm, rest
-    j = free.index(c)
-    rest[j] = free[p]
-    shift, pat = swaps[p][j]
-    moved = (bm ^ (bm >> shift)) & pat
-    return bm ^ moved ^ (moved << shift), rest
-
-
 @lru_cache(maxsize=32)
 def _level_tables(m: int) -> Tuple[Tuple[int, List[int]], ...]:
     """For each popcount r of an m-bit index: the bitmap of the indices of
@@ -188,23 +174,27 @@ def _relabeling_bound(bm: int, n: int, m: int, best: Optional[int] = None) -> in
     counts holds the smallest indices of each popcount (any other block
     with the counts holds the largest index where the two differ), so
     every block, and so the whole bitmap, is at least the bound built
-    from them.
-    Blocks are bounded from the top down; given best, the bound stops at
-    the first block where it parts from best, with the blocks below left
+    from them.  An empty block bounds as empty, so only the occupied
+    blocks are visited, highest first, each peeled off bm in turn; a
+    block of one member of popcount r bounds as index 2^r - 1.
+    Given best, the bound stops at the first occupied block at or below
+    the highest bit where it parts from best, with the blocks below left
     empty, which is still a lower bound and already compares with best as
     the whole one would.
     """
     levels = _level_tables(m)
-    width = 1 << m
-    full = (1 << width) - 1
     bound = 0
-    for shift in range((1 << n) - width, -1, -width):
-        block = (bm >> shift) & full
-        if block:
+    while bm:
+        shift = (bm.bit_length() - 1) >> m << m
+        block = bm >> shift
+        bm ^= block << shift
+        if block & (block - 1):
             least = 0
             for pattern, firsts in levels:
                 least |= firsts[(block & pattern).bit_count()]
-            bound |= least << shift
+        else:
+            least = 1 << (1 << (block.bit_length() - 1).bit_count()) - 1
+        bound |= least << shift
         if best is not None and (bound ^ best) >> shift:
             break
     return bound
@@ -212,9 +202,9 @@ def _relabeling_bound(bm: int, n: int, m: int, best: Optional[int] = None) -> in
 
 # Nodes with at most _TAIL free positions are finished by Heap's walk.
 # Per call, best of 5 on a shared 2-vCPU VM, _TAIL = 3/4/5 take
-# 1.45/1.36/2.45 ms on families of 64 random masks at n = 8, 2.61/1.39/
-# 1.06 ms on the Fano plane and 0.16/0.13/0.20 ms on relabeled linked
-# cubes at n = 8: 5 wins only on twin-free symmetric families.
+# 1.35/1.31/2.85 ms on 64 random masks at n = 8, 2.04/1.33/1.16 ms on
+# the Fano plane and 0.15/0.13/0.22 ms on relabeled linked cubes at
+# n = 8: 5 wins only on twin-free symmetric families.
 _TAIL = 4
 
 
@@ -225,10 +215,12 @@ def _min_relabeling(bitmap: int, n: int) -> int:
     class sits at each position.  A depth-first branch and bound fills
     positions from the top.  A node with at most _TAIL free positions is
     finished by Heap's walk over them; a larger one has one child per
-    twin class of its free positions, placed with one delta swap.  A
-    child is dropped, or skipped when popped, once `_relabeling_bound`
-    shows that no arrangement of its free positions beats the least
-    bitmap found so far, and children are explored least bound first.
+    twin class of its free positions, a coordinate of the class moved
+    from position j to the top free one p by the delta swap
+    `_swap_table(n)[p][j]`.  A child is dropped, or skipped when popped,
+    once `_relabeling_bound` over its occupied blocks shows that no
+    arrangement of its free positions beats the least bitmap found so
+    far, and children are explored least bound first.
     Symmetric families without twins can defeat the bound, so the worst
     case stays factorial in n.
     """
@@ -249,11 +241,21 @@ def _min_relabeling(bitmap: int, n: int) -> int:
                 if bm < best:
                     best = bm
             continue
+        p = m - 1
+        row = swaps[p]
         children = {}
         for c in set(free):
-            child, rest = _place_class(bm, free, c, swaps)
+            rest = free[:p]
+            if free[p] == c:
+                child = bm
+            else:
+                j = free.index(c)
+                rest[j] = free[p]
+                shift, pat = row[j]
+                moved = (bm ^ (bm >> shift)) & pat
+                child = bm ^ moved ^ (moved << shift)
             if child not in children:
-                low = _relabeling_bound(child, n, m - 1, best)
+                low = _relabeling_bound(child, n, p, best)
                 if low < best:
                     children[child] = (low, child, rest)
         stack.extend(sorted(children.values(), key=itemgetter(0), reverse=True))

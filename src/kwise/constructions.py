@@ -66,6 +66,7 @@ def linked_cubes_size(n: int, block_size: int) -> int:
 
 def balanced_block(n: int) -> int:
     """Canonical balanced block: the first floor(n/2) elements."""
+    check_ground(n)
     return full_mask(n // 2)
 
 

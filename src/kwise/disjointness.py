@@ -222,6 +222,8 @@ def min_bipartization(
     """
     if graph.bipartite:
         raise ValueError("bipartization applies to the single-family graph")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     m = len(graph.left)
     if mode == "exact":
         if m > MAX_EXACT_CUT_VERTICES:

@@ -151,6 +151,13 @@ def test_balanced_block():
     assert balanced_block(10) == 0b11111
 
 
+@pytest.mark.parametrize("n", [27, 0, True, -3, 2.5, "4"])
+def test_balanced_block_rejects_a_bad_ground_size(n):
+    """Beyond the n = 26 cap, below 1 or not an int, the ground size is refused."""
+    with pytest.raises(ValueError, match="ground size"):
+        balanced_block(n)
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(3, (0b011, 0b110))  # overlap

@@ -338,6 +338,15 @@ def test_bipartization_heuristic_is_upper_bound(fam, seed):
     assert again == heur
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, "x", True])
+def test_bipartization_seed_must_be_an_int(seed):
+    """A seed of None would draw a fresh split each call; a float, a
+    string or a bool is no seed either."""
+    graph = workload_graph(20, 20)
+    with pytest.raises(ValueError, match="seed"):
+        min_bipartization(graph, mode="heuristic", seed=seed)
+
+
 def test_bipartization_validation():
     fam = SetFamily(2, 0b1111)
     with pytest.raises(ValueError):

@@ -322,6 +322,71 @@ def test_relabeling_bound_is_sound(case):
         assert (early >= against) == (bound >= against)
 
 
+def block_bound(members, m):
+    """The relabeling bound rebuilt from the member list: in each block of
+    2^m bits, the c_r members of popcount r inside it are replaced by the
+    c_r smallest m-bit indices of popcount r, listed directly."""
+    by_level = [[x for x in range(1 << m) if bin(x).count("1") == r] for r in range(m + 1)]
+    bound = 0
+    for top in {x >> m for x in members}:
+        inside = [x & ((1 << m) - 1) for x in members if x >> m == top]
+        for r, level in enumerate(by_level):
+            for x in level[: sum(bin(y).count("1") == r for y in inside)]:
+                bound |= 1 << (top << m | x)
+    return bound
+
+
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, n),
+            st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8),
+            st.integers(0, (1 << (1 << n)) - 1),
+        )
+    )
+)
+@settings(deadline=None, max_examples=120)
+@example((10, 3, {1023}, 0))
+@example((10, 10, {0, 1 << 9, 1023}, 1 << 1023))
+@example((9, 0, {5, 300}, 0))
+def test_relabeling_bound_of_sparse_bitmaps(case):
+    """With 1-8 members up to n = 10, most blocks are empty or hold one
+    member; the bound matches the reference built from the member list,
+    and stopped early against best it sits below the full bound on the
+    same side of best."""
+    n, m, members, best = case
+    bm = sum(1 << x for x in members)
+    bound = _relabeling_bound(bm, n, m)
+    assert bound == block_bound(members, m)
+    for against in (best, bm, bound, bound + 1, max(bound - 1, 0), 1 << max(members)):
+        early = _relabeling_bound(bm, n, m, against)
+        assert early <= bound
+        assert (early >= against) == (bound >= against)
+
+
+@given(
+    st.integers(8, 10).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8),
+            st.permutations(range(n)),
+        )
+    )
+)
+@settings(deadline=None, max_examples=24)
+def test_canonical_form_of_sparse_families(case):
+    """Sparse families at n = 8 take the walk's least relabeling; at
+    n = 9 and 10, past the walk's reach, a relabeled copy keeps its form."""
+    n, masks, perm = case
+    fam = SetFamily.from_masks(n, masks)
+    form = canonical_form(fam)
+    if n == 8:
+        assert form.bitmap == min(heap_walk(fam.bitmap, n, n))
+    assert canonical_form(relabel(fam, tuple(perm))) == form
+    assert len(form) == len(fam)
+
+
 def strike_off(n, found):
     """The class filter of search_min: a labeled bitmap is kept only when
     it is the least of its relabelings."""
